@@ -15,7 +15,7 @@ back to the config, and changes timing only, never results.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 unreadable or
 malformed input, 3 domain error (valid syntax, impossible request),
-4 size cap exceeded.
+4 size cap exceeded, 5 a computation missed its accuracy contract.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .entropyflow import (
     state_samples,
     trajectory,
 )
-from .errors import DomainError, InputError, SizeError
+from .errors import DomainError, InputError, NumericalError, SizeError
 from .groupsem import build_ball_semigroup, left_regular_observable
 from .qms import Generator, gkls_generator, raw_generator, schur_generator
 from .statespace import Density, density
@@ -107,6 +107,18 @@ def _fmt(v: float) -> str:
 # ---------------------------------------------------------------- config parsing
 
 
+def _coerce(kind, raw, what: str):
+    """kind(raw), with a value that kind rejects reported as bad input."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what}: cannot read {raw!r} ({exc})") from exc
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
 def _parse_scalar(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -122,7 +134,7 @@ def _parse_matrix(obj, what: str) -> np.ndarray:
         raise InputError(f"{what} must be a nested list matrix")
     try:
         mat = np.array([[_parse_scalar(v) for v in row] for row in obj], dtype=complex)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{what} is not a rectangular matrix") from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InputError(f"{what} must be square, got shape {mat.shape}")
@@ -153,10 +165,14 @@ def _parse_grid(obj) -> np.ndarray:
     if obj is None:
         obj = {"start": 0.05, "stop": 2.0, "count": 8}
     if isinstance(obj, list):
-        grid = np.array([float(v) for v in obj])
+        grid = np.array(_coerce(_floats, obj, "t_grid"))
     elif isinstance(obj, dict):
         try:
-            grid = np.linspace(float(obj["start"]), float(obj["stop"]), int(obj["count"]))
+            grid = np.linspace(
+                _coerce(float, obj["start"], "t_grid start"),
+                _coerce(float, obj["stop"], "t_grid stop"),
+                _coerce(int, obj["count"], "t_grid count"),
+            )
         except KeyError as exc:
             raise InputError("t_grid object needs start, stop, count") from exc
     else:
@@ -186,14 +202,14 @@ def _workers(cfg: dict) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise InputError(f"ENTROFLOW_WORKERS must be an integer, got {env!r}") from exc
-    return max(1, int(cfg.get("workers", 1)))
+    return max(1, _coerce(int, cfg.get("workers", 1), "workers"))
 
 
 def _tol(cfg: dict, name: str, default: float) -> float:
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
         raise InputError("tolerances must be an object")
-    return float(tols.get(name, default))
+    return _coerce(float, tols.get(name, default), f"tolerance {name}")
 
 
 def _sampler(cfg: dict) -> SamplerConfig:
@@ -201,10 +217,10 @@ def _sampler(cfg: dict) -> SamplerConfig:
     if not isinstance(s, dict):
         raise InputError("sampler must be an object")
     return SamplerConfig(
-        count=int(s.get("count", 100)),
-        blend_epsilons=tuple(float(e) for e in s.get("blend_epsilons", (0.01, 0.1))),
-        near_pure_fraction=float(s.get("near_pure_fraction", 0.25)),
-        dirichlet_fraction=float(s.get("dirichlet_fraction", 0.25)),
+        count=_coerce(int, s.get("count", 100), "sampler count"),
+        blend_epsilons=_coerce(_floats, s.get("blend_epsilons", (0.01, 0.1)), "blend_epsilons"),
+        near_pure_fraction=_coerce(float, s.get("near_pure_fraction", 0.25), "near_pure_fraction"),
+        dirichlet_fraction=_coerce(float, s.get("dirichlet_fraction", 0.25), "dirichlet_fraction"),
     )
 
 
@@ -220,7 +236,7 @@ def _run_debruijn(cfg: dict, outdir: pathlib.Path) -> tuple:
     rho0 = _parse_density(cfg["state"], "state")
     sigma = _parse_density(cfg["reference"], "reference")
     grid = _parse_grid(cfg.get("t_grid"))
-    step = float(cfg.get("step", 1e-4))
+    step = _coerce(float, cfg.get("step", 1e-4), "step")
     rec = trajectory(gen, rho0, sigma, grid)
     resid = debruijn_residual(rec, h=step)
 
@@ -266,15 +282,15 @@ def _run_mlsi(cfg: dict, outdir: pathlib.Path) -> tuple:
     gen = _parse_generator(cfg["generator"])
     phi = _parse_density(cfg["phi"], "phi")
     sampler = _sampler(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = _coerce(int, cfg.get("seed", 0), "seed")
     rep = mlsi_estimate(
         gen,
         phi,
         sampler=sampler,
         seed=seed,
         workers=_workers(cfg),
-        polish_budget=int(cfg.get("polish_budget", 500)),
-        restarts=int(cfg.get("restarts", 8)),
+        polish_budget=_coerce(int, cfg.get("polish_budget", 500), "polish_budget"),
+        restarts=_coerce(int, cfg.get("restarts", 8), "restarts"),
     )
     samples = state_samples(gen.dim, phi, sampler, seed)
     decay = decay_certificate(gen, phi, beta=rep.beta_ratio, samples=samples)
@@ -311,17 +327,18 @@ def _run_mlsi(cfg: dict, outdir: pathlib.Path) -> tuple:
 
 def _run_freegroup(cfg: dict, outdir: pathlib.Path) -> tuple:
     kind = cfg.get("kind", "free")
-    rank = int(cfg.get("rank", 2))
-    radius = int(cfg.get("radius", 2))
-    times = [float(t) for t in cfg.get("times", (0.3, 1.0))]
+    rank = _coerce(int, cfg.get("rank", 2), "rank")
+    radius = _coerce(int, cfg.get("radius", 2), "radius")
+    times = _coerce(_floats, cfg.get("times", (0.3, 1.0)), "times")
     sem = build_ball_semigroup(kind, rank, radius)
 
     words = cfg.get("words")
     if words is None:
-        words = [list(w) for w in sem.ball.words[1:]]
+        words = sem.ball.words[1:]
+    words = _coerce(lambda ws: [tuple(int(l) for l in w) for w in ws], words, "words")
     eig_resid = 0.0
     for w in words:
-        lam = left_regular_observable(sem.ball, tuple(int(l) for l in w))
+        lam = left_regular_observable(sem.ball, w)
         for t in times:
             evolved = sem.gen.semigroup(t).apply(lam)
             eig_resid = max(
@@ -352,9 +369,9 @@ def _run_freegroup(cfg: dict, outdir: pathlib.Path) -> tuple:
 
 def _run_intertwine(cfg: dict, outdir: pathlib.Path) -> tuple:
     kind = cfg.get("kind", "free")
-    rank = int(cfg.get("rank", 1))
-    radius = int(cfg.get("radius", 2))
-    times = tuple(float(t) for t in cfg.get("times", (0.25, 1.0)))
+    rank = _coerce(int, cfg.get("rank", 1), "rank")
+    radius = _coerce(int, cfg.get("radius", 2), "radius")
+    times = _coerce(_floats, cfg.get("times", (0.25, 1.0)), "times")
     sem = build_ball_semigroup(kind, rank, radius)
     calc = diff_calculus(sem.projections)
 
@@ -404,6 +421,7 @@ def _run_subalg(cfg: dict, outdir: pathlib.Path) -> tuple:
     filtration = cfg.get("filtration")
     if filtration is None:
         filtration = [[1] * spec.dim, list(spec.blocks)]
+    filtration = _coerce(list, filtration, "filtration")
     mart = martingale_entropy_check(
         [subalgebra(b, unitary=spec.unitary) for b in filtration], rho, sigma
     )
@@ -425,7 +443,7 @@ def _run_subalg(cfg: dict, outdir: pathlib.Path) -> tuple:
     }
     if "generator" in cfg:
         gen = _parse_generator(cfg["generator"])
-        n = int(cfg.get("resolvent_order", 10))
+        n = _coerce(int, cfg.get("resolvent_order", 10), "resolvent_order")
         lo = chain_rule_check(gen, rho, n=n)
         hi = chain_rule_check(gen, rho, n=4 * n)
         shrink = _tol(cfg, "resolvent_shrink", 0.5)
@@ -468,6 +486,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        seed = _coerce(int, cfg.get("seed", 0), "seed")
         outdir = pathlib.Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         checks, payload = _COMMANDS[args.command](cfg, outdir)
@@ -480,12 +499,15 @@ def main(argv=None) -> int:
     except (InputError, KeyError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 5
 
     passed = all(c["passed"] for c in checks)
     report = {
         "version": __version__,
         "command": args.command,
-        "seed": int(cfg.get("seed", 0)),
+        "seed": seed,
         "config": _echo_config(cfg),
         "checks": checks,
         "passed": passed,

@@ -32,7 +32,13 @@ import scipy.optimize
 
 from .errors import DegenerateInputError, DomainError, InputError
 from .qms import FixedPointData, Generator, evolve, fixed_point_expectation
-from .statespace import Density, balpha_factor, density, rel_entropy, rel_hamiltonian
+from .statespace import (
+    Density,
+    _faithful_rel_hamiltonian,
+    balpha_factor,
+    density,
+    rel_entropy,
+)
 
 # relative entropies below this floor are treated as "already converged"
 ENTROPY_FLOOR = 1e-10
@@ -50,9 +56,11 @@ def entropy_production(gen: Generator, rho: Density, sigma: Density) -> float:
     resid = np.linalg.norm(gen.schroedinger.apply(sigma.mat))
     if resid > 1e-9 * max(1.0, np.linalg.norm(sigma.mat)):
         raise DomainError(f"reference state is not invariant: ||L_* sigma|| = {resid:.3e}")
-    if balpha_factor(rho, sigma) is None:
+    alpha = balpha_factor(rho, sigma)
+    if alpha is None:
         raise DomainError("state is not comparable to the reference (singular direction)")
-    h = rel_hamiltonian(rho, sigma)
+    # a finite alpha means both states are faithful
+    h = _faithful_rel_hamiltonian(rho, sigma, alpha)
     lrho = gen.schroedinger.apply(rho.mat)
     val = np.trace(lrho @ h)
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
@@ -156,6 +164,8 @@ def state_samples(dim: int, phi: Density, config: SamplerConfig, seed: int) -> l
     """
     if config.count < 1:
         raise InputError("sampler count must be positive")
+    if not config.blend_epsilons:
+        raise InputError("sampler needs at least one blend epsilon")
     phi_n = phi.normalize()
     n_pure = int(round(config.near_pure_fraction * config.count))
     n_dir = int(round(config.dirichlet_fraction * config.count))
@@ -272,8 +282,8 @@ def mlsi_estimate(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(sampler.count + 1)[-1])
     # seed the search at a matrix square root of the worst sample
-    w, v = np.linalg.eigh(worst.mat)
-    a0 = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+    dec = worst.op.spectrum
+    a0 = (dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0, None))) @ dec.eigenvectors.conj().T
     theta0 = np.concatenate([a0.real.ravel(), a0.imag.ravel()])
     best_theta, best_val = theta0, best_r
     for k in range(restarts):

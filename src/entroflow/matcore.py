@@ -64,6 +64,19 @@ class HermitianOperator:
         object.__setattr__(self, "mat", sym)
         object.__setattr__(self, "dim", sym.shape[0])
 
+    @property
+    def spectrum(self) -> "SpectralDecomposition":
+        """Eigendecomposition of this operator, computed on first use and kept.
+
+        The operator is immutable, so one herm_eig (with its residual
+        check) serves every later spectral read.  setdefault keeps the
+        memo write-once when threads race on the first read.
+        """
+        dec = self.__dict__.get("_spectrum")
+        if dec is None:
+            dec = self.__dict__.setdefault("_spectrum", herm_eig(self))
+        return dec
+
     def norm_fro(self) -> float:
         return float(np.linalg.norm(self.mat))
 
@@ -98,7 +111,10 @@ class SpectralDecomposition:
 
 
 def herm_eig(a) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
+
+    Always decomposes afresh; HermitianOperator.spectrum is the memoized read.
+    """
     h = as_herm(a)
     w, v = np.linalg.eigh(h.mat)
     dec = SpectralDecomposition(w, v)
@@ -117,7 +133,7 @@ def mat_fn(a, f, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     PSD inputs.  A min eigenvalue below -1e-8 * max_eig is rejected.
     """
     h = as_herm(a)
-    dec = herm_eig(h)
+    dec = h.spectrum
     w = dec.eigenvalues
     top = float(w.max(initial=0.0))
     if top <= 0.0:
@@ -137,8 +153,7 @@ def mat_fn(a, f, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
 
 def support_projector(a, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     """Orthogonal projection onto the numerical range of a PSD matrix."""
-    h = as_herm(a)
-    dec = herm_eig(h)
+    dec = as_herm(a).spectrum
     w = dec.eigenvalues
     top = float(w.max(initial=0.0))
     on = w > support_cutoff * top if top > 0 else np.zeros_like(w, dtype=bool)
@@ -273,14 +288,17 @@ def expm_superop(s: SuperOperator, t: float) -> SuperOperator:
     return SuperOperator(out)
 
 
-def clamp_psd(a: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
+def clamp_psd(a, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
     """Zero out slightly negative eigenvalues of a nearly-PSD Hermitian matrix.
 
     Eigenvalues in [-tol, 0) are clamped to 0 (logged); anything below
-    -tol is an error for the caller to raise on, signalled here.
+    -tol is an error for the caller to raise on, signalled here.  When
+    nothing is clamped the result is the operator's own matrix object,
+    so a caller that passed a HermitianOperator can tell by identity
+    that the operator, and its memoized spectrum, still stand.
     """
     h = as_herm(a)
-    dec = herm_eig(h)
+    dec = h.spectrum
     w = dec.eigenvalues
     if w[0] >= 0.0:
         return h.mat

@@ -33,7 +33,7 @@ from .matcore import (
     SUPPORT_CUTOFF,
     HermitianOperator,
     as_herm,
-    herm_eig,
+    herm_eig,  # noqa: F401  unused here; perfbench/tests/test_tracer.py looks it up
     mat_fn,
     op_norm,
     trace_norm,
@@ -49,7 +49,7 @@ class Density:
 
     def __post_init__(self):
         h = as_herm(self.op)
-        w = np.linalg.eigvalsh(h.mat)
+        w = h.spectrum.eigenvalues
         top = float(w.max(initial=0.0))
         if w[0] < -1e-10 * max(top, 1e-300):
             raise InputError(
@@ -73,7 +73,7 @@ class Density:
         return Density(HermitianOperator(self.op.mat / self.trace))
 
     def is_faithful(self, cutoff: float = SUPPORT_CUTOFF) -> bool:
-        w = np.linalg.eigvalsh(self.op.mat)
+        w = self.op.spectrum.eigenvalues
         return bool(w[0] > cutoff * w[-1])
 
 
@@ -91,8 +91,8 @@ def rel_entropy(rho: Density, sigma: Density, support_cutoff: float = SUPPORT_CU
     """
     if rho.dim != sigma.dim:
         raise InputError("dimension mismatch between states")
-    dr = herm_eig(rho.op)
-    ds = herm_eig(sigma.op)
+    dr = rho.op.spectrum
+    ds = sigma.op.spectrum
     p = np.clip(dr.eigenvalues, 0.0, None)
     q = np.clip(ds.eigenvalues, 0.0, None)
     p_on = p > support_cutoff * p.max(initial=0.0)
@@ -170,24 +170,34 @@ def rel_hamiltonian(rho: Density, sigma: Density, support=None) -> np.ndarray:
             raise DomainError(
                 "states must be faithful (or pass an explicit common support)"
             )
-        h = mat_fn(rho.op, np.log) - mat_fn(sigma.op, np.log)
-    else:
-        v = np.asarray(support, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != rho.dim:
-            raise InputError("support must be a dim x r isometry")
-        if not np.allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-10):
-            raise InputError("support columns must be orthonormal")
-        r_small = v.conj().T @ rho.op.mat @ v
-        s_small = v.conj().T @ sigma.op.mat @ v
-        if min(np.linalg.eigvalsh(r_small)) <= 0 or min(np.linalg.eigvalsh(s_small)) <= 0:
-            raise DomainError("states are singular on the supplied support")
-        h_small = mat_fn(r_small, np.log) - mat_fn(s_small, np.log)
-        h = v @ h_small @ v.conj().T
-    alpha = balpha_factor(rho, sigma) if support is None else None
-    if alpha is not None and op_norm(h) > math.log(alpha) + 1e-9:
-        raise DomainError(
-            f"relative Hamiltonian norm {op_norm(h):.6e} exceeds log(alpha)={math.log(alpha):.6e}"
-        )
+        return _faithful_rel_hamiltonian(rho, sigma, balpha_factor(rho, sigma))
+    v = np.asarray(support, dtype=complex)
+    if v.ndim != 2 or v.shape[0] != rho.dim:
+        raise InputError("support must be a dim x r isometry")
+    if not np.allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-10):
+        raise InputError("support columns must be orthonormal")
+    r_small = v.conj().T @ rho.op.mat @ v
+    s_small = v.conj().T @ sigma.op.mat @ v
+    if min(np.linalg.eigvalsh(r_small)) <= 0 or min(np.linalg.eigvalsh(s_small)) <= 0:
+        raise DomainError("states are singular on the supplied support")
+    h_small = mat_fn(r_small, np.log) - mat_fn(s_small, np.log)
+    h = v @ h_small @ v.conj().T
+    return (h + h.conj().T) / 2
+
+
+def _faithful_rel_hamiltonian(rho: Density, sigma: Density, alpha) -> np.ndarray:
+    """log rho - log sigma for faithful states whose balpha_factor is alpha.
+
+    Callers that already computed alpha (entropy_production) pass it
+    here instead of recomputing it; the log(alpha) bound is still asserted.
+    """
+    h = mat_fn(rho.op, np.log) - mat_fn(sigma.op, np.log)
+    if alpha is not None:
+        norm = op_norm(h)
+        if norm > math.log(alpha) + 1e-9:
+            raise DomainError(
+                f"relative Hamiltonian norm {norm:.6e} exceeds log(alpha)={math.log(alpha):.6e}"
+            )
     return (h + h.conj().T) / 2
 
 

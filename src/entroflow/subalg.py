@@ -32,11 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .matcore import SuperOperator, conjugation_super, mat_fn, unvec, vec
+from .matcore import SUPPORT_CUTOFF, SuperOperator, conjugation_super, mat_fn, unvec, vec
 from .qms import Generator, invariant_states
 from .statespace import Density, density, rel_entropy
-
-_SUPPORT_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,10 @@ class SubalgebraSpec:
 
 
 def subalgebra(blocks, unitary=None) -> SubalgebraSpec:
-    bl = tuple(int(b) for b in blocks)
+    try:
+        bl = tuple(int(b) for b in blocks)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"block sizes must be integers, got {blocks!r}") from exc
     if not bl or any(b < 1 for b in bl):
         raise InputError(f"block sizes must be positive integers, got {bl}")
     if unitary is not None:
@@ -142,12 +143,12 @@ def entropy_extension_check(
         sb = _block_of(spec, sigma_n.mat, s)
         wr, ur = np.linalg.eigh((rb + rb.conj().T) / 2)
         ws, us = np.linalg.eigh((sb + sb.conj().T) / 2)
-        cut_r = _SUPPORT_CUTOFF * max(wr.max(), 0) if wr.size else 0.0
+        cut_r = SUPPORT_CUTOFF * max(wr.max(), 0) if wr.size else 0.0
         on_r = wr > cut_r
         if not on_r.any():
             continue
         overlap = np.abs(ur.conj().T @ us) ** 2
-        on_s = ws > _SUPPORT_CUTOFF * max(ws.max(), 0)
+        on_s = ws > SUPPORT_CUTOFF * max(ws.max(), 0)
         leak = wr[on_r] @ overlap[on_r][:, ~on_s].sum(axis=1)
         if leak > 1e-10:
             total = np.inf
@@ -180,7 +181,7 @@ def rel_hamiltonian_projection_check(
     rho_n = density(pinch.apply(rho.mat))
     if not (rho_n.is_faithful() and sigma.is_faithful()):
         raise DomainError("projection identities need faithful pinched states")
-    h = mat_fn(rho_n.mat, np.log) - mat_fn(sigma.mat, np.log)
+    h = mat_fn(rho_n.op, np.log) - mat_fn(sigma.op, np.log)
     orth = abs(np.trace((rho.mat - rho_n.mat) @ h))
     chain = abs(
         rel_entropy(rho, sigma) - rel_entropy(rho, rho_n) - rel_entropy(rho_n, sigma)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entroflow.cli import main
+from entroflow.errors import NumericalError
 
 
 def write_config(path, cfg):
@@ -94,6 +95,70 @@ def test_exit_code_size_error(tmp_path):
         ["freegroup", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path)]
     )
     assert code == 4
+
+
+MLSI_CFG = {
+    "generator": depolarizing_cfg(),
+    "phi": [[0.5, 0.0], [0.0, 0.5]],
+    "sampler": {"count": 4},
+    "restarts": 1,
+    "polish_budget": 20,
+}
+
+
+@pytest.mark.parametrize(
+    "command,patch",
+    [
+        ("mlsi", {"sampler": {"count": "abc"}}),
+        ("mlsi", {"sampler": {"blend_epsilons": 5}}),
+        ("mlsi", {"workers": "x"}),
+        ("mlsi", {"polish_budget": [1]}),
+        ("mlsi", {"restarts": "many"}),
+        ("mlsi", {"seed": "abc"}),
+        ("mlsi", {"tolerances": {"beta_floor": "tiny"}}),
+        ("freegroup", {"kind": "free", "rank": "two"}),
+        ("freegroup", {"kind": "free", "rank": 1, "words": [["a"]]}),
+        ("intertwine", {"kind": "free", "times": [None]}),
+        ("debruijn", {"step": {}}),
+        ("debruijn", {"t_grid": {"start": 0.1, "stop": 1.0, "count": None}}),
+        ("debruijn", {"state": [[1.0, 0.0], [0.0]]}),
+        ("mlsi", {"sampler": {"count": 4, "blend_epsilons": []}}),
+        ("subalg", {"blocks": "ab"}),
+        ("subalg", {"blocks": [1, 1], "filtration": 3}),
+    ],
+)
+def test_exit_code_bad_config_value(tmp_path, capsys, command, patch):
+    base = {
+        "mlsi": MLSI_CFG,
+        "debruijn": {
+            "generator": depolarizing_cfg(),
+            "state": [[0.9, 0.0], [0.0, 0.1]],
+            "reference": [[0.5, 0.0], [0.0, 0.5]],
+        },
+        "subalg": {"state": [[0.6, 0.0], [0.0, 0.4]], "sigma": [[0.5, 0.0], [0.0, 0.5]]},
+    }
+    cfg = {**base.get(command, {}), **patch}
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input:")
+    assert "Traceback" not in err
+
+
+def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):
+    def lost_positivity(*args, **kwargs):
+        raise NumericalError("evolved state lost positivity")
+
+    monkeypatch.setattr("entroflow.cli.trajectory", lost_positivity)
+    cfg = {
+        "generator": depolarizing_cfg(),
+        "state": [[0.9, 0.0], [0.0, 0.1]],
+        "reference": [[0.5, 0.0], [0.0, 0.5]],
+    }
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["debruijn", "--config", path, "--out", str(tmp_path / "o")]) == 5
+    assert "numerical failure: evolved state lost positivity" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_freegroup_run_passes(tmp_path):

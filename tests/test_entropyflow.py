@@ -1,9 +1,11 @@
 """Entropy production, trajectories, and decay-rate estimation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from entroflow.entropyflow import (
     DecayReport,
@@ -18,8 +20,9 @@ from entroflow.entropyflow import (
     trajectory,
 )
 from entroflow.errors import DomainError
-from entroflow.qms import gkls_generator, schur_generator
-from entroflow.statespace import balpha_factor, density, rel_entropy
+from entroflow.matcore import HermitianOperator, herm_eig
+from entroflow.qms import fixed_point_expectation, gkls_generator, schur_generator
+from entroflow.statespace import balpha_factor, density, rel_entropy, rel_hamiltonian
 
 
 def depolarizing(d):
@@ -211,3 +214,70 @@ def test_decay_certificate_skips_converged_sample():
     rep = decay_certificate(gen, MAX_MIX_2, beta=2.0, samples=[MAX_MIX_2])
     assert rep.passed
     assert rep.per_state[0]["margin"] == math.inf
+
+
+def pinching_model(d, seed):
+    """Schur generator with symbol 1 - I, a faithful diagonal sigma (invariant)
+    and a seeded full-rank rho comparable to it, as arrays."""
+    rng = np.random.default_rng(seed)
+    gen = schur_generator(np.ones((d, d)) - np.eye(d))
+    sigma = np.diag(0.5 * rng.dirichlet(np.ones(d)) + 0.5 / d).astype(complex)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    return gen, 0.7 * m / np.trace(m).real + 0.3 * sigma, sigma
+
+
+def spectral_quantities(gen, rho, sigma):
+    return (
+        rel_entropy(rho, sigma),
+        balpha_factor(rho, sigma),
+        rel_hamiltonian(rho, sigma).tobytes(),
+        entropy_production(gen, rho, sigma),
+    )
+
+
+@pytest.mark.parametrize("d,seed", [(2, 11), (5, 12), (17, 13)])
+def test_memoized_spectrum_is_bit_identical(monkeypatch, d, seed):
+    gen, rho_arr, sigma_arr = pinching_model(d, seed)
+    fresh = spectral_quantities(gen, density(rho_arr), density(sigma_arr))
+
+    rho, sigma = density(rho_arr), density(sigma_arr)
+    spectral_quantities(gen, rho, sigma)
+    warm = spectral_quantities(gen, rho, sigma)
+    assert warm == fresh
+
+    for dec in (rho.op.spectrum, sigma.op.spectrum):
+        for arr in (dec.eigenvalues, dec.eigenvectors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    assert rho.op.spectrum is rho.op.spectrum
+
+    # reference: every spectral read decomposes afresh, as with no memo
+    monkeypatch.setattr(HermitianOperator, "spectrum", property(herm_eig))
+    unmemoized = spectral_quantities(gen, density(rho_arr), density(sigma_arr))
+    assert unmemoized == fresh
+
+
+def test_production_decomposes_each_state_once(monkeypatch):
+    gen, rho_arr, sigma_arr = pinching_model(5, 14)
+    fp = fixed_point_expectation(gen, density(sigma_arr))
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+        label = f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name, counted(label, getattr(owner, name)))
+    # one I/D ratio evaluation as the rate estimator runs it, on a fresh state
+    rho = density(rho_arr)
+    sig = fp.project_state(rho)
+    rel_entropy(rho, sig)
+    entropy_production(gen, rho, sig)
+    assert sum(counts.values()) <= 5, counts
+    assert counts["scipy.linalg.eigh"] == 1  # balpha_factor runs once
