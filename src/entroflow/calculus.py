@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, SizeError
-from .matcore import SuperOperator, left_mult_super, right_mult_super
+from .matcore import SuperOperator, left_mult_super, right_mult_super, schur_multiplier_super
 from .qms import Generator, schur_generator
 
 # side length cap for the module-copy Choi certificate
@@ -112,16 +112,8 @@ def dirichlet_energy(calc: DiffCalculus, x: np.ndarray, weights=None) -> float:
     return total / d
 
 
-def _schur_super(kernel: np.ndarray) -> SuperOperator:
-    return SuperOperator(np.diag(kernel.flatten(order="F")).astype(complex))
-
-
-def schur_symbol(calc: DiffCalculus) -> np.ndarray:
-    return calc.symbol().astype(float)
-
-
 def generator_from_calculus(calc: DiffCalculus) -> Generator:
-    return schur_generator(schur_symbol(calc))
+    return schur_generator(calc.symbol().astype(float))
 
 
 def flip_pinch(calc: DiffCalculus, i: int) -> SuperOperator:
@@ -129,7 +121,7 @@ def flip_pinch(calc: DiffCalculus, i: int) -> SuperOperator:
     with v_i(g) = v_i(h), kills the rest."""
     _check_flip(calc, i)
     keep = 1.0 - calc.component_symbol(i).astype(float)
-    return _schur_super(keep)
+    return schur_multiplier_super(keep)
 
 
 def single_flip_semigroup(calc: DiffCalculus, i: int, t: float) -> SuperOperator:
@@ -138,7 +130,7 @@ def single_flip_semigroup(calc: DiffCalculus, i: int, t: float) -> SuperOperator
     if t < 0:
         raise DomainError(f"time must be nonnegative, got {t}")
     kernel = np.exp(-t * calc.component_symbol(i).astype(float))
-    return _schur_super(kernel)
+    return schur_multiplier_super(kernel)
 
 
 def component_kernel(calc: DiffCalculus, flips, t: float) -> np.ndarray:
@@ -159,7 +151,7 @@ def component_kernel(calc: DiffCalculus, flips, t: float) -> np.ndarray:
 
 def intertwine_operator(calc: DiffCalculus, flips, t: float) -> SuperOperator:
     """Schur multiplier of the composite intertwining kernel."""
-    return _schur_super(component_kernel(calc, flips, t))
+    return schur_multiplier_super(component_kernel(calc, flips, t))
 
 
 def intertwining_residual(gen: Generator, calc: DiffCalculus, times=(0.25, 1.0)) -> float:

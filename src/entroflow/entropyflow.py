@@ -166,6 +166,9 @@ def state_samples(dim: int, phi: Density, config: SamplerConfig, seed: int) -> l
         raise InputError("sampler count must be positive")
     if not config.blend_epsilons:
         raise InputError("sampler needs at least one blend epsilon")
+    for eps in config.blend_epsilons:
+        if not 0.0 <= eps <= 1.0:
+            raise InputError(f"blend epsilon must lie in [0, 1], got {eps}")
     phi_n = phi.normalize()
     n_pure = int(round(config.near_pure_fraction * config.count))
     n_dir = int(round(config.dirichlet_fraction * config.count))
@@ -233,6 +236,10 @@ def mlsi_estimate(
     beta_fit is the decay slope of log D along the worst-case
     trajectory, reported alongside as a cross-check.
     """
+    if polish_budget < 1:
+        raise InputError(f"polish budget must be >= 1, got {polish_budget}")
+    if restarts < 0:
+        raise InputError(f"restarts must be >= 0, got {restarts}")
     sampler = sampler or SamplerConfig()
     fp = fixed_point_expectation(gen, phi)
     samples = state_samples(gen.dim, phi, sampler, seed)

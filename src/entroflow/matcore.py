@@ -218,10 +218,6 @@ class SuperOperator:
         return SuperOperator(self.matrix.conj().T)
 
 
-def identity_super(dim: int) -> SuperOperator:
-    return SuperOperator(np.eye(dim * dim, dtype=complex))
-
-
 def left_mult_super(x: np.ndarray) -> SuperOperator:
     """Superoperator of A -> x A."""
     x = np.asarray(x, dtype=complex)
@@ -233,6 +229,14 @@ def right_mult_super(x: np.ndarray) -> SuperOperator:
     """Superoperator of A -> A x."""
     x = np.asarray(x, dtype=complex)
     return SuperOperator(np.kron(x.T, np.eye(x.shape[0])))
+
+
+def schur_multiplier_super(kernel: np.ndarray) -> SuperOperator:
+    """Superoperator of the Schur multiplier A -> kernel * A (entrywise).
+
+    It is diagonal: vec(E_gh) has column-major index h*d+g.
+    """
+    return SuperOperator(np.diag(np.asarray(kernel, dtype=complex).flatten(order="F")))
 
 
 def conjugation_super(k: np.ndarray) -> SuperOperator:
@@ -265,22 +269,13 @@ def is_herm_preserving(s: SuperOperator, tol: float = 1e-10) -> bool:
 def expm_superop(s: SuperOperator, t: float) -> SuperOperator:
     """Matrix exponential exp(t * S) of a superoperator.
 
-    Uses a unitary Schur route when S is normal (cheap and stable for
-    the self-adjoint generators that dominate this package), and
-    scaling-and-squaring otherwise.
+    One route for every input: scipy.linalg.expm, which exponentiates a
+    diagonal matrix (a Schur multiplier) entrywise, with no matrix
+    products, and uses scaling-and-squaring otherwise.  An overflowed
+    result raises NumericalError.
     """
     m = s.matrix
-    scale = max(1.0, float(np.linalg.norm(m)) ** 2)
-    comm = np.linalg.norm(m @ m.conj().T - m.conj().T @ m)
-    if comm <= 1e-10 * scale:
-        tmat, q = scipy.linalg.schur(m * t, output="complex")
-        off = np.linalg.norm(tmat - np.diag(np.diag(tmat)))
-        if off <= 1e-8 * max(1.0, np.linalg.norm(tmat)):
-            out = (q * np.exp(np.diag(tmat))) @ q.conj().T
-        else:
-            out = scipy.linalg.expm(m * t)
-    else:
-        out = scipy.linalg.expm(m * t)
+    out = scipy.linalg.expm(m * t)
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise NumericalError(
             f"superoperator exponential overflowed at t={t}; ||S||={np.linalg.norm(m):.3e}"

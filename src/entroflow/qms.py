@@ -35,6 +35,7 @@ from .matcore import (
     herm_eig,  # noqa: F401  unused here; perfbench/tests/test_tracer.py looks it up
     is_herm_preserving,
     mat_fn,
+    schur_multiplier_super,
     unvec,
     vec,
 )
@@ -160,14 +161,12 @@ def schur_generator(symbol) -> Generator:
             raise InputError(
                 f"exp(-t*symbol) is not a PSD kernel at t={t}: min eig {lo:.3e}"
             )
-    # diagonal superoperator in the matrix-unit basis; vec index of E_gh is h*d+g
-    diag = np.array([psi[g, h] for h in range(d) for g in range(d)])
-    m = np.diag(diag).astype(complex)
+    m = schur_multiplier_super(psi)
     return Generator(
         dim=d,
         variant="schur",
-        heisenberg=SuperOperator(m),
-        schroedinger=SuperOperator(m),
+        heisenberg=m,
+        schroedinger=m,
         symbol=psi,
     )
 
@@ -334,17 +333,6 @@ def is_gns_symmetric(gen: Generator, phi: Density, tol: float = 1e-8) -> bool:
     return gns_symmetry_residual(gen, phi) <= tol
 
 
-def modular_flow(phi: Density, t: float, x) -> np.ndarray:
-    """Modular rotation phi^{it} x phi^{-it} for faithful phi."""
-    if not phi.is_faithful():
-        raise DomainError("modular flow requires a faithful state")
-    dec = phi.op.spectrum
-    w = dec.eigenvalues
-    u = (dec.eigenvectors * np.exp(1j * t * np.log(w))) @ dec.eigenvectors.conj().T
-    a = x.mat if isinstance(x, HermitianOperator) else np.asarray(x, dtype=complex)
-    return u @ a @ u.conj().T
-
-
 @dataclass(frozen=True)
 class FixedPointData:
     """Conditional expectation onto the fixed-point algebra and its predual."""
@@ -415,10 +403,7 @@ def _build_fixed_point(gen: Generator, phi: Density) -> FixedPointData:
         raise DomainError(f"reference state is not invariant: ||L_* phi|| = {resid:.3e}")
 
     if is_gns_symmetric(gen, phi):
-        root = mat_fn(phi.op, np.sqrt)
-        g = np.kron(root.T, np.eye(d))  # vec(x phi^(1/2)) = g vec(x)
-        ginv = np.linalg.inv(g)
-        l2 = g @ gen.heisenberg.matrix @ ginv
+        g, ginv, l2 = _weighted_implementation(gen, phi)
         l2 = (l2 + l2.conj().T) / 2
         w, v = np.linalg.eigh(l2)
         top = max(abs(w[0]), abs(w[-1]), 1.0)
@@ -457,6 +442,18 @@ def _build_fixed_point(gen: Generator, phi: Density) -> FixedPointData:
     )
 
 
+def _weighted_implementation(gen: Generator, phi: Density):
+    """(g, g^-1, g L g^-1) with g vec(x) = vec(x phi^(1/2)).
+
+    g L g^-1 is L in the phi-weighted inner product; it is Hermitian
+    exactly when the semigroup is phi-symmetric.
+    """
+    root = mat_fn(phi.op, np.sqrt)
+    g = np.kron(root.T, np.eye(gen.dim))
+    ginv = np.linalg.inv(g)
+    return g, ginv, g @ gen.heisenberg.matrix @ ginv
+
+
 def _nonzero_decay_rate(gen: Generator) -> float:
     w = np.linalg.eigvals(gen.heisenberg.matrix)
     pos = [abs(x.real) for x in w if abs(x) > 1e-9 * max(1.0, np.abs(w).max())]
@@ -480,14 +477,11 @@ def spectral_gap(gen: Generator, phi: Density) -> float:
     Requires the semigroup to be phi-symmetric (within 1e-8); the
     weighted implementation is then Hermitian with real spectrum.
     """
-    d = gen.dim
     if not phi.is_faithful():
         raise DomainError("reference state must be faithful")
     if not is_gns_symmetric(gen, phi):
         raise DomainError("spectral gap requires a state-symmetric semigroup")
-    root = mat_fn(phi.op, np.sqrt)
-    g = np.kron(root.T, np.eye(d))
-    l2 = g @ gen.heisenberg.matrix @ np.linalg.inv(g)
+    _, _, l2 = _weighted_implementation(gen, phi)
     herm_resid = np.linalg.norm(l2 - l2.conj().T)
     if herm_resid > 1e-7 * max(1.0, np.linalg.norm(l2)):
         raise NumericalError(

@@ -125,6 +125,9 @@ MLSI_CFG = {
         ("mlsi", {"sampler": {"count": 4, "blend_epsilons": []}}),
         ("subalg", {"blocks": "ab"}),
         ("subalg", {"blocks": [1, 1], "filtration": 3}),
+        ("mlsi", {"polish_budget": 0}),
+        ("mlsi", {"restarts": -3}),
+        ("mlsi", {"sampler": {"count": 4, "blend_epsilons": [2.0]}}),
     ],
 )
 def test_exit_code_bad_config_value(tmp_path, capsys, command, patch):

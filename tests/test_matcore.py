@@ -11,7 +11,6 @@ from entroflow.matcore import (
     conjugation_super,
     expm_superop,
     herm_eig,
-    identity_super,
     is_herm_preserving,
     left_mult_super,
     mat_fn,
@@ -137,7 +136,7 @@ def test_adjoint_is_trace_pairing_adjoint():
 
 
 def test_choi_of_identity_is_maximally_entangled():
-    c = choi_matrix(identity_super(2))
+    c = choi_matrix(SuperOperator(np.eye(4)))
     # sum_ij E_ij (x) E_ij = 2 * projector onto the maximally entangled vector
     w = np.linalg.eigvalsh(c)
     assert np.allclose(sorted(w), [0, 0, 0, 2], atol=1e-12)
@@ -170,11 +169,44 @@ def test_expm_semigroup_property_nonnormal():
     assert np.allclose(one, two, atol=1e-12)
 
 
-def test_expm_normal_branch_matches_dense():
-    # left multiplication by a Hermitian matrix is a normal superoperator
-    s = SuperOperator(np.kron(np.eye(2), PAULI_X))
-    e = expm_superop(s, 1.0).matrix
-    assert np.allclose(e, np.kron(np.eye(2), np.cosh(1) * np.eye(2) + np.sinh(1) * PAULI_X))
+def _herm_super(d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    return (g + g.conj().T) / (2 * d)
+
+
+def _eigh_expm(m: np.ndarray, t: float) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
+    return (v * np.exp(t * w)) @ v.conj().T
+
+
+_SCHUR_DIAG = np.array([0.0, -1.5, -1.5, 0.0, -2.0, -0.25, 0.0, -3.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "m,t,expect,tol",
+    [
+        # left multiplication by a Hermitian matrix is a normal superoperator
+        (
+            np.kron(np.eye(2), PAULI_X),
+            1.0,
+            np.kron(np.eye(2), np.cosh(1) * np.eye(2) + np.sinh(1) * PAULI_X),
+            {},
+        ),
+        # a Schur multiplier is diagonal and is exponentiated entrywise
+        (np.diag(_SCHUR_DIAG), 0.3, np.diag(np.exp(0.3 * _SCHUR_DIAG)), {"rtol": 0.0, "atol": 1e-15}),
+        # seeded Hermitian superoperators against their eigh exponential
+        (_herm_super(3, 11), 0.7, _eigh_expm(_herm_super(3, 11), 0.7), 1e-12),
+        (_herm_super(5, 12), 0.4, _eigh_expm(_herm_super(5, 12), 0.4), 1e-12),
+    ],
+    ids=["left-mult-pauli-x", "schur-diagonal", "hermitian-d3", "hermitian-d5"],
+)
+def test_expm_matches_closed_form(m, t, expect, tol):
+    e = expm_superop(SuperOperator(m), t).matrix
+    if isinstance(tol, dict):
+        assert np.allclose(e, expect, **tol)
+    else:  # relative Frobenius error
+        assert np.linalg.norm(e - expect) <= tol * np.linalg.norm(expect)
 
 
 def test_clamp_psd_zeroes_small_negatives():

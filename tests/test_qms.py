@@ -10,7 +10,6 @@ from entroflow.qms import (
     gns_symmetry_residual,
     invariant_states,
     is_gns_symmetric,
-    modular_flow,
     raw_generator,
     schur_generator,
     spectral_gap,
@@ -123,23 +122,6 @@ def test_gns_symmetry_classification():
     assert gns_symmetry_residual(dephasing_qubit(), density(np.diag([0.3, 0.7]))) < 1e-10
     damping = gkls_generator(jumps=[np.array([[0, 1], [0, 0]], dtype=complex)])
     assert gns_symmetry_residual(damping, phi) > 0.01
-
-
-def test_modular_flow_phase_oracle():
-    phi = density(np.diag([0.8, 0.2]))
-    e01 = np.array([[0, 1], [0, 0]], dtype=complex)
-    out = modular_flow(phi, 1.3, e01)
-    expect = (0.8 / 0.2) ** 1.3j * e01
-    assert np.allclose(out, expect, atol=1e-12)
-    with pytest.raises(DomainError):
-        modular_flow(density(np.diag([1.0, 0.0])), 0.5, e01)
-
-
-def test_modular_flow_invariance_of_reference():
-    rng = np.random.default_rng(1)
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    phi = density(g @ g.conj().T + 0.1 * np.eye(3))
-    assert np.allclose(modular_flow(phi, 0.7, phi.mat), phi.mat, atol=1e-10)
 
 
 def test_spectral_gap_depolarizing_is_one():
