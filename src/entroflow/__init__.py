@@ -6,7 +6,6 @@ from .calculus import (
     diff_calculus,
     dirichlet_energy,
     generator_from_calculus,
-    intertwine_operator,
     intertwining_residual,
     single_flip_semigroup,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "generator_from_calculus",
     "gkls_generator",
     "gns_symmetry_residual",
-    "intertwine_operator",
     "intertwining_residual",
     "invariant_states",
     "left_regular_observable",

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, SizeError
-from .matcore import SuperOperator, left_mult_super, right_mult_super, schur_multiplier_super
+from .matcore import SuperOperator, schur_multiplier_super, vec
 from .qms import Generator, schur_generator
 
 # side length cap for the module-copy Choi certificate
@@ -60,12 +60,13 @@ class DiffCalculus:
     def count(self) -> int:
         return self.rows.shape[0]
 
-    def projection(self, i: int) -> np.ndarray:
-        return np.diag(self.rows[i].astype(float)).astype(complex)
+    def difference(self, i: int) -> np.ndarray:
+        """Kernel v_i(g) - v_i(h) of delta_i, entries 0 or +-1."""
+        v = self.rows[i]
+        return v[:, None] - v[None, :]
 
     def component_symbol(self, i: int) -> np.ndarray:
-        v = self.rows[i]
-        return (v[:, None] - v[None, :]) ** 2
+        return self.difference(i) ** 2
 
     def symbol(self) -> np.ndarray:
         d = self.rows[:, :, None] - self.rows[:, None, :]
@@ -89,13 +90,12 @@ def diff_calculus(rows) -> DiffCalculus:
 
 
 def derivation_apply(calc: DiffCalculus, i: int, x: np.ndarray) -> np.ndarray:
-    """delta_i(x) = [P_i, x]."""
+    """delta_i(x) = [P_i, x], entrywise (v_i(g) - v_i(h)) x[g, h]."""
     _check_flip(calc, i)
-    p = calc.projection(i)
     x = np.asarray(x, dtype=complex)
     if x.shape != (calc.dim, calc.dim):
         raise InputError(f"operator shape {x.shape} does not match dimension {calc.dim}")
-    return p @ x - x @ p
+    return calc.difference(i) * x
 
 
 def dirichlet_energy(calc: DiffCalculus, x: np.ndarray, weights=None) -> float:
@@ -149,30 +149,29 @@ def component_kernel(calc: DiffCalculus, flips, t: float) -> np.ndarray:
     return np.exp(-t * exponent.astype(float))
 
 
-def intertwine_operator(calc: DiffCalculus, flips, t: float) -> SuperOperator:
-    """Schur multiplier of the composite intertwining kernel."""
-    return schur_multiplier_super(component_kernel(calc, flips, t))
-
-
 def intertwining_residual(gen: Generator, calc: DiffCalculus, times=(0.25, 1.0)) -> float:
     """Max entry of delta_i P_t - M^i_t delta_i over flips and times.
 
     Zero (to rounding) whenever gen is the Schur generator of the
     calculus symbol; a generator with a different symbol is rejected.
+    delta_i and M^i_t are diagonal, so both products are exact entrywise
+    scalings by dv = vec(v_i(g) - v_i(h)), which lies in {0, +-1}.
     """
+    times = _check_times(times)
     expected = generator_from_calculus(calc)
     if gen.dim != calc.dim or not np.allclose(
         gen.heisenberg.matrix, expected.heisenberg.matrix, atol=1e-10
     ):
         raise DomainError("generator is not generated by this calculus")
-    propagators = {float(t): gen.semigroup(float(t)).matrix for t in times}
+    propagators = {t: gen.semigroup(t).matrix for t in times}
     worst = 0.0
     for i in range(calc.count):
-        p = calc.projection(i)
-        d_i = left_mult_super(p).matrix - right_mult_super(p).matrix
+        dv = vec(calc.difference(i))
         for t, s_t in propagators.items():
-            m_t = intertwine_operator(calc, (i,), t).matrix
-            worst = max(worst, float(np.max(np.abs(d_i @ s_t - m_t @ d_i))))
+            kappa = vec(component_kernel(calc, (i,), t))
+            r = dv[:, None] * s_t
+            r[np.diag_indices_from(r)] -= kappa * dv
+            worst = max(worst, float(np.max(np.abs(r))))
     return worst
 
 
@@ -222,15 +221,16 @@ def cp_dominance_report(
     """Sweep times and both module actions; passed iff no block dips
     below -tol."""
     flips = _check_flips(calc, flips)
+    times = _check_times(times)
     best = (np.inf, 0.0, -1, "left")
     for t in times:
         for side in ("left", "right"):
-            lo, row = cp_dominance_check(calc, flips, float(t), side)
+            lo, row = cp_dominance_check(calc, flips, t, side)
             if lo < best[0]:
-                best = (lo, float(t), row, side)
+                best = (lo, t, row, side)
     return CpDominanceReport(
         flips=flips,
-        times=tuple(float(t) for t in times),
+        times=times,
         min_eig=best[0],
         worst_time=best[1],
         worst_row=best[2],
@@ -250,4 +250,11 @@ def _check_flips(calc: DiffCalculus, flips) -> tuple:
         raise InputError("need at least one flip index")
     for i in out:
         _check_flip(calc, i)
+    return out
+
+
+def _check_times(times) -> tuple:
+    out = tuple(float(t) for t in times)
+    if not out:
+        raise InputError("need at least one time")
     return out

@@ -116,7 +116,10 @@ def _coerce(kind, raw, what: str):
 
 
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    out = tuple(float(v) for v in values)
+    if not out or not np.all(np.isfinite(out)):
+        raise ValueError(f"need a nonempty list of finite numbers, got {list(out)}")
+    return out
 
 
 def _parse_scalar(v) -> complex:

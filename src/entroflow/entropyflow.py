@@ -169,6 +169,9 @@ def state_samples(dim: int, phi: Density, config: SamplerConfig, seed: int) -> l
     for eps in config.blend_epsilons:
         if not 0.0 <= eps <= 1.0:
             raise InputError(f"blend epsilon must lie in [0, 1], got {eps}")
+    fractions = (config.near_pure_fraction, config.dirichlet_fraction)
+    if not all(0.0 <= f <= 1.0 for f in fractions) or sum(fractions) > 1.0:
+        raise InputError(f"sampler fractions must lie in [0, 1] and sum to <= 1, got {fractions}")
     phi_n = phi.normalize()
     n_pure = int(round(config.near_pure_fraction * config.count))
     n_dir = int(round(config.dirichlet_fraction * config.count))

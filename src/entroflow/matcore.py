@@ -189,7 +189,8 @@ class SuperOperator:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        # C order even for a transposed view: the layout sets how apply rounds
+        m = np.array(self.matrix, dtype=complex, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"superoperator matrix must be square, got {m.shape}")
         d = int(round(np.sqrt(m.shape[0])))
@@ -197,7 +198,6 @@ class SuperOperator:
             raise InputError(f"superoperator side {m.shape[0]} is not a square")
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
             raise InputError("superoperator has non-finite entries")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", d)
@@ -216,19 +216,6 @@ class SuperOperator:
     def adjoint(self) -> "SuperOperator":
         """Adjoint with respect to the trace pairing tr(S(x)^dag y)."""
         return SuperOperator(self.matrix.conj().T)
-
-
-def left_mult_super(x: np.ndarray) -> SuperOperator:
-    """Superoperator of A -> x A."""
-    x = np.asarray(x, dtype=complex)
-    d = x.shape[0]
-    return SuperOperator(np.kron(np.eye(d), x))
-
-
-def right_mult_super(x: np.ndarray) -> SuperOperator:
-    """Superoperator of A -> A x."""
-    x = np.asarray(x, dtype=complex)
-    return SuperOperator(np.kron(x.T, np.eye(x.shape[0])))
 
 
 def schur_multiplier_super(kernel: np.ndarray) -> SuperOperator:

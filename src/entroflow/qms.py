@@ -79,7 +79,7 @@ class Generator:
         key = (tag, float(t))
         hit = cache.get(key)
         if hit is None:
-            hit = cache[key] = expm_superop(SuperOperator(-gen.matrix), t)
+            hit = cache[key] = expm_superop(gen, -t)
         return hit
 
 
@@ -91,7 +91,7 @@ def _check_unital(l_heis: SuperOperator, dim: int):
 
 def _check_cp_semigroup(l_heis: SuperOperator, times=_CP_CHECK_TIMES):
     for t in times:
-        p = expm_superop(SuperOperator(-l_heis.matrix), t)
+        p = expm_superop(l_heis, -t)
         lo = float(np.linalg.eigvalsh((choi_matrix(p) + choi_matrix(p).conj().T) / 2)[0])
         if lo < -_CP_TOL:
             raise InputError(

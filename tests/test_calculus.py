@@ -12,14 +12,13 @@ from entroflow.calculus import (
     dirichlet_energy,
     flip_pinch,
     generator_from_calculus,
-    intertwine_operator,
     intertwining_residual,
     single_flip_semigroup,
 )
 from entroflow.errors import DomainError, InputError, SizeError
-from entroflow.groupsem import build_ball_semigroup
+from entroflow.groupsem import ball_calculus, build_ball_semigroup
 from entroflow.matcore import choi_matrix, min_eig
-from entroflow.qms import schur_generator
+from entroflow.qms import gkls_generator, schur_generator
 
 
 def small_calc():
@@ -56,6 +55,13 @@ def test_derivation_is_commutator():
     assert np.array_equal(derivation_apply(calc, 0, x), p @ x - x @ p)
     with pytest.raises(InputError):
         derivation_apply(calc, 5, x)
+    calc, _ = ball_calc("coxeter", 3, 2)
+    rng = np.random.default_rng(11)
+    d = calc.dim
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for i in range(calc.count):
+        p = np.diag(calc.rows[i]).astype(complex)
+        assert np.array_equal(derivation_apply(calc, i, x), p @ x - x @ p)
 
 
 def test_dirichlet_energy_matches_generator_pairing():
@@ -119,11 +125,46 @@ def test_intertwining_residual_vanishes_on_ball_models():
         assert intertwining_residual(sem.gen, calc) < 1e-12
 
 
+def dense_intertwining_residual(gen, calc, times=(0.25, 1.0)):
+    # reference: delta_i and M^i_t as dense d^2 x d^2 matrices, two products
+    eye = np.eye(calc.dim)
+    worst = 0.0
+    for t in times:
+        s_t = gen.semigroup(t).matrix
+        for i in range(calc.count):
+            p = np.diag(calc.rows[i]).astype(complex)
+            d_i = np.kron(eye, p) - np.kron(p.T, eye)
+            m_t = np.diag(component_kernel(calc, (i,), t).flatten(order="F")).astype(complex)
+            worst = max(worst, float(np.max(np.abs(d_i @ s_t - m_t @ d_i))))
+    return worst
+
+
+def test_intertwining_residual_matches_dense_products():
+    for kind, rank, radius in [("free", 2, 2), ("coxeter", 3, 2)]:
+        calc, sem = ball_calc(kind, rank, radius)
+        assert intertwining_residual(sem.gen, calc) == dense_intertwining_residual(sem.gen, calc)
+    # a GKLS generator of the same symbol: its propagator is not exactly diagonal
+    calc, sem = ball_calc("free", 1, 2)
+    gen = gkls_generator(jumps=ball_calculus(sem))
+    times = (0.3, 1.0)
+    resid = intertwining_residual(gen, calc, times=times)
+    assert resid == dense_intertwining_residual(gen, calc, times=times)
+    assert resid < 1e-12
+
+
 def test_intertwining_rejects_foreign_generator():
     calc, sem = ball_calc("free", 1, 2)
     other = schur_generator(2.0 * sem.psi.astype(float))
     with pytest.raises(DomainError):
         intertwining_residual(other, calc)
+
+
+def test_empty_times_rejected():
+    calc, sem = ball_calc("free", 1, 2)
+    with pytest.raises(InputError):
+        intertwining_residual(sem.gen, calc, times=())
+    with pytest.raises(InputError):
+        cp_dominance_report(calc, (0,), times=())
 
 
 def test_single_flip_dominance_passes():

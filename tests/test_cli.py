@@ -128,6 +128,15 @@ MLSI_CFG = {
         ("mlsi", {"polish_budget": 0}),
         ("mlsi", {"restarts": -3}),
         ("mlsi", {"sampler": {"count": 4, "blend_epsilons": [2.0]}}),
+        ("freegroup", {"kind": "free", "rank": 1, "times": []}),
+        ("freegroup", {"kind": "free", "rank": 1, "times": [float("nan")]}),
+        ("intertwine", {"kind": "free", "times": []}),
+        ("intertwine", {"kind": "free", "times": [float("nan")]}),
+        ("mlsi", {"sampler": {"count": 4, "near_pure_fraction": float("nan")}}),
+        ("mlsi", {"sampler": {"count": 4, "near_pure_fraction": 1e308}}),
+        ("mlsi", {"sampler": {"count": 4, "dirichlet_fraction": -3}}),
+        ("mlsi", {"sampler": {"count": 4, "near_pure_fraction": 0.75, "dirichlet_fraction": 0.5}}),
+        ("debruijn", {"t_grid": [float("nan"), 1.0]}),
     ],
 )
 def test_exit_code_bad_config_value(tmp_path, capsys, command, patch):

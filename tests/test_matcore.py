@@ -12,11 +12,9 @@ from entroflow.matcore import (
     expm_superop,
     herm_eig,
     is_herm_preserving,
-    left_mult_super,
     mat_fn,
     min_eig,
     op_norm,
-    right_mult_super,
     support_projector,
     trace_norm,
     unvec,
@@ -110,9 +108,9 @@ def test_superoperator_apply_and_compose():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     a = rng.normal(size=(3, 3))
-    s = left_mult_super(a)
+    s = SuperOperator(np.kron(np.eye(3), a))
     assert np.allclose(s.apply(x), a @ x)
-    t = right_mult_super(a)
+    t = SuperOperator(np.kron(a.T, np.eye(3)))
     assert np.allclose(t.apply(x), x @ a)
     assert np.allclose((s @ t).apply(x), a @ x @ a)
 
