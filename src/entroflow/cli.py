@@ -40,7 +40,6 @@ from .entropyflow import (
     debruijn_residual,
     decay_certificate,
     mlsi_estimate,
-    state_samples,
     trajectory,
 )
 from .errors import DomainError, InputError, NumericalError, SizeError
@@ -171,13 +170,16 @@ def _parse_grid(obj) -> np.ndarray:
         grid = np.array(_coerce(_floats, obj, "t_grid"))
     elif isinstance(obj, dict):
         try:
-            grid = np.linspace(
-                _coerce(float, obj["start"], "t_grid start"),
-                _coerce(float, obj["stop"], "t_grid stop"),
-                _coerce(int, obj["count"], "t_grid count"),
-            )
+            start = _coerce(float, obj["start"], "t_grid start")
+            stop = _coerce(float, obj["stop"], "t_grid stop")
+            count = _coerce(int, obj["count"], "t_grid count")
         except KeyError as exc:
             raise InputError("t_grid object needs start, stop, count") from exc
+        if not np.all(np.isfinite((start, stop))) or count < 1:
+            raise InputError(
+                f"t_grid needs finite start and stop and count >= 1, got {start}, {stop}, {count}"
+            )
+        grid = np.linspace(start, stop, count)
     else:
         raise InputError("t_grid must be a list or a start/stop/count object")
     if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) <= 0):
@@ -295,8 +297,7 @@ def _run_mlsi(cfg: dict, outdir: pathlib.Path) -> tuple:
         polish_budget=_coerce(int, cfg.get("polish_budget", 500), "polish_budget"),
         restarts=_coerce(int, cfg.get("restarts", 8), "restarts"),
     )
-    samples = state_samples(gen.dim, phi, sampler, seed)
-    decay = decay_certificate(gen, phi, beta=rep.beta_ratio, samples=samples)
+    decay = decay_certificate(gen, phi, beta=rep.beta_ratio, samples=rep.samples)
 
     tol_beta = _tol(cfg, "beta_floor", 1e-6)
     fit_band = _tol(cfg, "fit_ratio_band", 1.5)

@@ -31,10 +31,21 @@ import numpy as np
 import scipy.optimize
 
 from .errors import DegenerateInputError, DomainError, InputError
+from .matcore import (
+    SUPPORT_CUTOFF,
+    SpectralDecomposition,
+    _clamp_spectrum,
+    _frobenius,
+    _hermitian_part,
+    herm_eig_batch,
+)
 from .qms import FixedPointData, Generator, evolve, fixed_point_expectation
 from .statespace import (
     Density,
-    _faithful_rel_hamiltonian,
+    _balpha_spectral,
+    _density_trace,
+    _rel_entropy_spectral,
+    _rel_hamiltonian_spectral,
     balpha_factor,
     density,
     rel_entropy,
@@ -53,16 +64,27 @@ def entropy_production(gen: Generator, rho: Density, sigma: Density) -> float:
     """
     if rho.dim != gen.dim or sigma.dim != gen.dim:
         raise InputError("state dimensions do not match generator")
-    resid = np.linalg.norm(gen.schroedinger.apply(sigma.mat))
-    if resid > 1e-9 * max(1.0, np.linalg.norm(sigma.mat)):
+    return _production(gen, rho.mat, rho.op.spectrum, sigma.mat, sigma.op.spectrum)
+
+
+def _production(
+    gen: Generator,
+    rho_mat: np.ndarray,
+    dr: SpectralDecomposition,
+    sigma_mat: np.ndarray,
+    ds: SpectralDecomposition,
+) -> float:
+    """entropy_production from the matrices and decompositions of rho and sigma."""
+    resid = _frobenius(gen.schroedinger.apply(sigma_mat))
+    if resid > 1e-9 * max(1.0, _frobenius(sigma_mat)):
         raise DomainError(f"reference state is not invariant: ||L_* sigma|| = {resid:.3e}")
-    alpha = balpha_factor(rho, sigma)
+    alpha = _balpha_spectral(rho_mat, dr, sigma_mat, ds, SUPPORT_CUTOFF)
     if alpha is None:
         raise DomainError("state is not comparable to the reference (singular direction)")
     # a finite alpha means both states are faithful
-    h = _faithful_rel_hamiltonian(rho, sigma, alpha)
-    lrho = gen.schroedinger.apply(rho.mat)
-    val = np.trace(lrho @ h)
+    h = _rel_hamiltonian_spectral(dr, ds, alpha)
+    lrho = gen.schroedinger.apply(rho_mat)
+    val = (lrho @ h).trace()
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise DomainError(f"entropy production came out non-real: {val:.3e}")
     return float(val.real)
@@ -211,15 +233,31 @@ class MlsiReport:
     sample_count: int
     skipped: int
     violations: tuple
+    samples: tuple = field(repr=False)  # the seeded states the estimate sampled
 
 
-def _ratio(gen: Generator, fp: FixedPointData, rho: Density):
-    sig = fp.project_state(rho)
-    d = rel_entropy(rho, sig)
+def _ratio(gen: Generator, fp: FixedPointData, mat: np.ndarray):
+    """(I/D, D) of the state rho with matrix mat against sigma = E_*(rho).
+
+    The I/D kernel of the rate estimator.  It runs the checks of
+    density(mat), fp.project_state, rel_entropy and entropy_production,
+    once each and with their tolerances, but decomposes rho and sigma
+    together in one batched eigh and reads D and I off those two
+    spectra.  I/D is None when D is not finite or below ENTROPY_FLOOR.
+    """
+    rho = _hermitian_part(mat)
+    sig = _hermitian_part(fp.project_matrix(rho))
+    dr, ds = herm_eig_batch(rho, sig)
+    rho_trace = _density_trace(dr, rho)
+    clamped = _clamp_spectrum(ds, sig, 1e-9, "projected state")
+    if clamped is not sig:
+        sig = _hermitian_part(clamped)
+        (ds,) = herm_eig_batch(sig)
+    _density_trace(ds, sig)
+    d = _rel_entropy_spectral(dr, rho_trace, ds, SUPPORT_CUTOFF)
     if not math.isfinite(d) or d < ENTROPY_FLOOR:
         return None, d
-    i = entropy_production(gen, rho, sig)
-    return i / d, d
+    return _production(gen, rho, dr, sig, ds) / d, d
 
 
 def mlsi_estimate(
@@ -248,7 +286,7 @@ def mlsi_estimate(
     samples = state_samples(gen.dim, phi, sampler, seed)
     workers = _resolve_workers(workers)
 
-    rows = _map_ordered(lambda s: _ratio(gen, fp, s), samples, workers)
+    rows = _map_ordered(lambda s: _ratio(gen, fp, s.mat), samples, workers)
     ratios = []
     skipped = 0
     violations = []
@@ -278,7 +316,7 @@ def mlsi_estimate(
         m = m / tr
         # tiny faithful blend keeps the objective inside its domain
         m = 0.999999 * m + 1e-6 * phi_n.mat
-        return density((m + m.conj().T) / 2)
+        return (m + m.conj().T) / 2
 
     def objective(theta):
         cand = unpack(theta)
@@ -308,16 +346,16 @@ def mlsi_estimate(
             best_val, best_theta = float(res.fun), res.x
     polished = unpack(best_theta)
     if polished is not None:
-        r, dval = _ratio(gen, fp, polished)
+        r, _ = _ratio(gen, fp, polished)
         if r is not None and r < best_r:
             best_r = r
-            worst = polished
+            worst = density(polished)
 
     beta_ratio = float(best_r)
 
     # decay-rate fit along the worst trajectory, on a window where D is resolved
     fit_state = worst
-    _, d0 = _ratio(gen, fp, fit_state)
+    _, d0 = _ratio(gen, fp, fit_state.mat)
     if d0 is None or d0 < 1e-6:
         cands = [(rows[i][1], i) for (_, i) in ratios if rows[i][1] >= 1e-6]
         if cands:
@@ -343,6 +381,7 @@ def mlsi_estimate(
         sample_count=sampler.count,
         skipped=skipped,
         violations=tuple(violations),
+        samples=tuple(samples),
     )
 
 

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,18 +49,7 @@ class HermitianOperator:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.mat, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise InputError("matrix has non-finite entries")
-        scale = max(np.linalg.norm(a), 1.0)
-        asym = np.linalg.norm(a - a.conj().T)
-        if asym > _ASYM_TOL * scale:
-            raise InputError(
-                f"matrix is not Hermitian: relative asymmetry {asym / scale:.3e}"
-            )
-        sym = (a + a.conj().T) / 2.0
+        sym = _hermitian_part(self.mat)
         sym.setflags(write=False)
         object.__setattr__(self, "mat", sym)
         object.__setattr__(self, "dim", sym.shape[0])
@@ -84,6 +74,28 @@ class HermitianOperator:
         return float(np.trace(self.mat).real)
 
 
+def _hermitian_part(mat) -> np.ndarray:
+    """(A + A^dag)/2 of a finite square matrix that is Hermitian up to _ASYM_TOL."""
+    a = np.asarray(mat, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InputError("matrix has non-finite entries")
+    ah = a.conj().T
+    scale = max(_frobenius(a), 1.0)
+    asym = _frobenius(a - ah)
+    if asym > _ASYM_TOL * scale:
+        raise InputError(
+            f"matrix is not Hermitian: relative asymmetry {asym / scale:.3e}"
+        )
+    return (a + ah) / 2.0
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of a complex array, in one BLAS call."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
 def as_herm(x) -> HermitianOperator:
     """Coerce an array-like or HermitianOperator to HermitianOperator."""
     if isinstance(x, HermitianOperator):
@@ -106,22 +118,33 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
 
 def herm_eig(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
 
     Always decomposes afresh; HermitianOperator.spectrum is the memoized read.
     """
-    h = as_herm(a)
-    w, v = np.linalg.eigh(h.mat)
-    dec = SpectralDecomposition(w, v)
-    resid = np.linalg.norm(dec.reconstruct() - h.mat)
-    if resid > 1e-10 * max(1.0, np.abs(w).max(initial=0.0)) * h.dim:
-        raise NumericalError(f"eigendecomposition residual too large: {resid:.3e}")
-    return dec
+    return herm_eig_batch(as_herm(a).mat)[0]
+
+
+def herm_eig_batch(*mats: np.ndarray) -> tuple:
+    """herm_eig of Hermitian matrices of one size, in one batched eigh.
+
+    The inputs must already be Hermitian, as HermitianOperator.mat is.
+    LAPACK decomposes each matrix of the stack on its own, so every
+    result has the bits a separate eigh gives.  Each decomposition must
+    reconstruct its matrix to within 1e-10 * max(1, max |eig|) * dim in
+    Frobenius norm, or NumericalError is raised.
+    """
+    w, v = np.linalg.eigh(np.array(mats, dtype=complex))
+    decs = []
+    for wk, vk, mat in zip(w, v, mats):
+        resid = _frobenius((vk * wk) @ vk.conj().T - mat)
+        # eigenvalues ascend, so the largest magnitude is -wk[0] or wk[-1]
+        if resid > 1e-10 * max(1.0, -wk[0], wk[-1]) * len(wk):
+            raise NumericalError(f"eigendecomposition residual too large: {resid:.3e}")
+        decs.append(SpectralDecomposition(wk, vk))
+    return tuple(decs)
 
 
 def mat_fn(a, f, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
@@ -132,17 +155,20 @@ def mat_fn(a, f, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     on them), so f = log and f = inverse powers are safe on singular
     PSD inputs.  A min eigenvalue below -1e-8 * max_eig is rejected.
     """
-    h = as_herm(a)
-    dec = h.spectrum
-    w = dec.eigenvalues
-    top = float(w.max(initial=0.0))
+    return _spectral_fn(as_herm(a).spectrum, f, support_cutoff)
+
+
+def _spectral_fn(dec: SpectralDecomposition, f, support_cutoff: float) -> np.ndarray:
+    """mat_fn of the PSD matrix whose decomposition is dec."""
+    w = dec.eigenvalues  # ascending
+    top = max(float(w[-1]), 0.0)
     if top <= 0.0:
-        if w.min(initial=0.0) < -1e-12:
-            raise InputError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
-        return np.zeros_like(h.mat)
-    if w.min() < -1e-8 * top:
+        if w[0] < -1e-12:
+            raise InputError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+        return np.zeros_like(dec.eigenvectors)
+    if w[0] < -1e-8 * top:
         raise InputError(
-            f"matrix is not PSD: min eigenvalue {w.min():.3e} vs max {top:.3e}"
+            f"matrix is not PSD: min eigenvalue {w[0]:.3e} vs max {top:.3e}"
         )
     cut = support_cutoff * top
     fw = np.zeros_like(w)
@@ -280,10 +306,14 @@ def clamp_psd(a, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
     that the operator, and its memoized spectrum, still stand.
     """
     h = as_herm(a)
-    dec = h.spectrum
+    return _clamp_spectrum(h.spectrum, h.mat, tol, what)
+
+
+def _clamp_spectrum(dec: SpectralDecomposition, mat: np.ndarray, tol: float, what: str):
+    """clamp_psd of mat, whose decomposition is dec; mat itself if nothing is clamped."""
     w = dec.eigenvalues
     if w[0] >= 0.0:
-        return h.mat
+        return mat
     if w[0] < -tol:
         raise NumericalError(
             f"{what} lost positivity: min eigenvalue {w[0]:.3e} below -{tol:.1e}"

@@ -343,8 +343,12 @@ class FixedPointData:
     phi: Density
 
     def project_state(self, rho: Density) -> Density:
-        out = self.predual.apply(rho.mat)
-        return _clamped_density((out + out.conj().T) / 2, "projected state")
+        return _clamped_density(self.project_matrix(rho.mat), "projected state")
+
+    def project_matrix(self, mat) -> np.ndarray:
+        """Hermitian part of E_*(mat): project_state before its PSD clamp."""
+        out = self.predual.apply(mat)
+        return (out + out.conj().T) / 2
 
 
 def _validate_expectation(e_mat: np.ndarray, gen: Generator, phi: Density, tol: float = 1e-9):

@@ -32,10 +32,12 @@ from .errors import DomainError, InputError
 from .matcore import (
     SUPPORT_CUTOFF,
     HermitianOperator,
+    SpectralDecomposition,
+    _hermitian_part,
+    _spectral_fn,
     as_herm,
     herm_eig,  # noqa: F401  unused here; perfbench/tests/test_tracer.py looks it up
     mat_fn,
-    op_norm,
     trace_norm,
 )
 
@@ -49,15 +51,7 @@ class Density:
 
     def __post_init__(self):
         h = as_herm(self.op)
-        w = h.spectrum.eigenvalues
-        top = float(w.max(initial=0.0))
-        if w[0] < -1e-10 * max(top, 1e-300):
-            raise InputError(
-                f"density is not PSD: min eigenvalue {w[0]:.3e} vs max {top:.3e}"
-            )
-        tr = float(np.trace(h.mat).real)
-        if tr <= 0.0:
-            raise InputError(f"density must have positive trace, got {tr:.3e}")
+        tr = _density_trace(h.spectrum, h.mat)
         object.__setattr__(self, "op", h)
         object.__setattr__(self, "trace", tr)
 
@@ -73,13 +67,36 @@ class Density:
         return Density(HermitianOperator(self.op.mat / self.trace))
 
     def is_faithful(self, cutoff: float = SUPPORT_CUTOFF) -> bool:
-        w = self.op.spectrum.eigenvalues
-        return bool(w[0] > cutoff * w[-1])
+        return _faithful(self.op.spectrum, cutoff)
 
 
 def density(mat) -> Density:
     """Build a Density from an array-like PSD matrix."""
     return Density(as_herm(mat))
+
+
+# The spectral helpers below work on (matrix, SpectralDecomposition) data,
+# so that the public functions on Density and the I/D kernel of
+# entropyflow._ratio share one implementation of each quantity and check.
+
+
+def _density_trace(dec: SpectralDecomposition, mat: np.ndarray) -> float:
+    """Trace of a density matrix, after its PSD and positive-trace checks."""
+    w = dec.eigenvalues  # ascending
+    top = max(float(w[-1]), 0.0)
+    if w[0] < -1e-10 * max(top, 1e-300):
+        raise InputError(
+            f"density is not PSD: min eigenvalue {w[0]:.3e} vs max {top:.3e}"
+        )
+    tr = float(mat.trace().real)
+    if tr <= 0.0:
+        raise InputError(f"density must have positive trace, got {tr:.3e}")
+    return tr
+
+
+def _faithful(dec: SpectralDecomposition, cutoff: float) -> bool:
+    w = dec.eigenvalues
+    return bool(w[0] > cutoff * w[-1])
 
 
 def rel_entropy(rho: Density, sigma: Density, support_cutoff: float = SUPPORT_CUTOFF) -> float:
@@ -91,19 +108,27 @@ def rel_entropy(rho: Density, sigma: Density, support_cutoff: float = SUPPORT_CU
     """
     if rho.dim != sigma.dim:
         raise InputError("dimension mismatch between states")
-    dr = rho.op.spectrum
-    ds = sigma.op.spectrum
+    return _rel_entropy_spectral(rho.op.spectrum, rho.trace, sigma.op.spectrum, support_cutoff)
+
+
+def _rel_entropy_spectral(
+    dr: SpectralDecomposition, rho_trace: float, ds: SpectralDecomposition, support_cutoff: float
+) -> float:
+    """rel_entropy from the decompositions of rho and sigma."""
+    # clipped eigenvalues, still ascending: the last is the largest
     p = np.clip(dr.eigenvalues, 0.0, None)
     q = np.clip(ds.eigenvalues, 0.0, None)
-    p_on = p > support_cutoff * p.max(initial=0.0)
-    q_on = q > support_cutoff * q.max(initial=0.0)
-    overlap = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
+    p_on = p > support_cutoff * p[-1]
+    q_on = q > support_cutoff * q[-1]
+    p_sup = p[p_on]
+    # |<u_i|v_j>|^2 on the support of rho; compress keeps the blocks C-ordered
+    overlap = (np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2).compress(p_on, axis=0)
     # mass of rho landing in the kernel of sigma
-    leak = float(p[p_on] @ overlap[np.ix_(p_on, ~q_on)].sum(axis=1)) if (~q_on).any() else 0.0
-    if leak > 1e-10 * rho.trace:
+    leak = float(p_sup @ overlap.compress(~q_on, axis=1).sum(axis=1)) if (~q_on).any() else 0.0
+    if leak > 1e-10 * rho_trace:
         return math.inf
-    plogp = float(p[p_on] @ np.log(p[p_on]))
-    cross = float(p[p_on] @ overlap[np.ix_(p_on, q_on)] @ np.log(q[q_on]))
+    plogp = float(p_sup @ np.log(p_sup))
+    cross = float(p_sup @ overlap.compress(q_on, axis=1) @ np.log(q[q_on]))
     return plogp - cross
 
 
@@ -116,11 +141,23 @@ def balpha_factor(rho: Density, sigma: Density, support_cutoff: float = SUPPORT_
     """
     if rho.dim != sigma.dim:
         raise InputError("dimension mismatch between states")
-    if not sigma.is_faithful(support_cutoff):
+    return _balpha_spectral(rho.mat, rho.op.spectrum, sigma.mat, sigma.op.spectrum, support_cutoff)
+
+
+def _balpha_spectral(
+    rho_mat: np.ndarray,
+    dr: SpectralDecomposition,
+    sigma_mat: np.ndarray,
+    ds: SpectralDecomposition,
+    support_cutoff: float,
+):
+    """balpha_factor of the states with these matrices and decompositions."""
+    if not _faithful(ds, support_cutoff):
         raise DomainError("reference state must be faithful")
-    if not rho.is_faithful(support_cutoff):
+    if not _faithful(dr, support_cutoff):
         return None
-    w = scipy.linalg.eigh(rho.op.mat, sigma.op.mat, eigvals_only=True)
+    # both matrices come from validated operators, already checked finite
+    w = scipy.linalg.eigh(rho_mat, sigma_mat, eigvals_only=True, check_finite=False)
     lo, hi = float(w[0]), float(w[-1])
     if lo <= 0.0:
         return None
@@ -188,17 +225,25 @@ def rel_hamiltonian(rho: Density, sigma: Density, support=None) -> np.ndarray:
 def _faithful_rel_hamiltonian(rho: Density, sigma: Density, alpha) -> np.ndarray:
     """log rho - log sigma for faithful states whose balpha_factor is alpha.
 
-    Callers that already computed alpha (entropy_production) pass it
-    here instead of recomputing it; the log(alpha) bound is still asserted.
+    Callers that already computed alpha pass it here instead of
+    recomputing it; the log(alpha) bound is still asserted.
     """
-    h = mat_fn(rho.op, np.log) - mat_fn(sigma.op, np.log)
-    if alpha is not None:
-        norm = op_norm(h)
-        if norm > math.log(alpha) + 1e-9:
-            raise DomainError(
-                f"relative Hamiltonian norm {norm:.6e} exceeds log(alpha)={math.log(alpha):.6e}"
-            )
-    return (h + h.conj().T) / 2
+    return _rel_hamiltonian_spectral(rho.op.spectrum, sigma.op.spectrum, alpha)
+
+
+def _rel_hamiltonian_spectral(dr: SpectralDecomposition, ds: SpectralDecomposition, alpha):
+    """_faithful_rel_hamiltonian from the decompositions of rho and sigma."""
+    h = _spectral_fn(dr, np.log, SUPPORT_CUTOFF) - _spectral_fn(ds, np.log, SUPPORT_CUTOFF)
+    if alpha is None:
+        return (h + h.conj().T) / 2
+    # the Hermitian part op_norm(h) would decompose is also the result
+    sym = _hermitian_part(h)
+    norm = float(np.abs(np.linalg.eigvalsh(sym)).max())
+    if norm > math.log(alpha) + 1e-9:
+        raise DomainError(
+            f"relative Hamiltonian norm {norm:.6e} exceeds log(alpha)={math.log(alpha):.6e}"
+        )
+    return sym
 
 
 def resolvent_log_approx(rho: Density, sigma: Density, n: int, nodes: int = 200) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from entroflow import cli, entropyflow
 from entroflow.cli import main
 from entroflow.errors import NumericalError
 
@@ -137,6 +138,9 @@ MLSI_CFG = {
         ("mlsi", {"sampler": {"count": 4, "dirichlet_fraction": -3}}),
         ("mlsi", {"sampler": {"count": 4, "near_pure_fraction": 0.75, "dirichlet_fraction": 0.5}}),
         ("debruijn", {"t_grid": [float("nan"), 1.0]}),
+        ("debruijn", {"t_grid": {"start": 0.1, "stop": 1.0, "count": -1}}),
+        ("debruijn", {"t_grid": {"start": float("nan"), "stop": 1.0, "count": 4}}),
+        ("debruijn", {"t_grid": {"start": 0.1, "stop": float("inf"), "count": 4}}),
     ],
 )
 def test_exit_code_bad_config_value(tmp_path, capsys, command, patch):
@@ -247,6 +251,22 @@ def test_mlsi_run_and_worker_independence(tmp_path, monkeypatch):
     assert t4["workers"] == 4
     report = json.loads(r1.decode())
     assert report["result"]["beta_ratio"] == pytest.approx(2.0, abs=0.05)
+
+
+def test_mlsi_run_draws_samples_once(tmp_path, monkeypatch):
+    calls = []
+    draw = entropyflow.state_samples
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(entropyflow, "state_samples", counted)
+    monkeypatch.setattr(cli, "state_samples", counted, raising=False)
+    path = write_config(tmp_path / "c.json", MLSI_CFG)
+    assert main(["mlsi", "--config", path, "--out", str(tmp_path / "o")]) in (0, 1)
+    # the decay certificate checks the states the estimate sampled
+    assert len(calls) == 1
 
 
 def test_seed_flag_overrides_config(tmp_path):

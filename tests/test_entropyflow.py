@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from entroflow.entropyflow import (
+    ENTROPY_FLOOR,
     DecayReport,
     SamplerConfig,
     TrajectoryRecord,
@@ -17,9 +18,11 @@ from entroflow.entropyflow import (
     fm_check,
     mlsi_estimate,
     state_samples,
+    _ratio,
     trajectory,
 )
 from entroflow.errors import DomainError
+from entroflow.groupsem import build_ball_semigroup
 from entroflow.matcore import HermitianOperator, herm_eig
 from entroflow.qms import fixed_point_expectation, gkls_generator, schur_generator
 from entroflow.statespace import balpha_factor, density, rel_entropy, rel_hamiltonian
@@ -281,3 +284,113 @@ def test_production_decomposes_each_state_once(monkeypatch):
     entropy_production(gen, rho, sig)
     assert sum(counts.values()) <= 5, counts
     assert counts["scipy.linalg.eigh"] == 1  # balpha_factor runs once
+
+
+def random_unital_gkls(d, seed):
+    """Hamiltonian plus two scaled Haar-unitary jumps: unital, not symmetric."""
+    rng = np.random.default_rng(seed)
+
+    def haar():
+        q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return gkls_generator(hamiltonian=h + h.conj().T, jumps=[np.sqrt(0.8) * haar(), np.sqrt(0.5) * haar()])
+
+
+def reference_ratio(gen, fp, mat):
+    """The I/D ratio composed from the public functions."""
+    rho = density(mat)
+    sig = fp.project_state(rho)
+    d = rel_entropy(rho, sig)
+    if not math.isfinite(d) or d < ENTROPY_FLOOR:
+        return None, d
+    return entropy_production(gen, rho, sig) / d, d
+
+
+def polish_candidates(phi, rng, count):
+    """Candidates built the way mlsi_estimate's polish builds them."""
+    d = phi.dim
+    out = []
+    for _ in range(count):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = a @ a.conj().T
+        m = 0.999999 * (m / np.trace(m).real) + 1e-6 * phi.mat
+        out.append((m + m.conj().T) / 2)
+    return out
+
+
+def coxeter_ball_model():
+    ball = build_ball_semigroup("coxeter", 2, 2)
+    return ball.gen, ball.phi
+
+
+# the generators of the benchmark's rate jobs; the GKLS one takes the
+# Cesaro fixed-point path
+RATE_MODELS = {
+    "depolarizing-d2": lambda: (depolarizing(2), MAX_MIX_2),
+    "depolarizing-d3": lambda: (depolarizing(3), MAX_MIX_3),
+    "coxeter-2-2-d5": coxeter_ball_model,
+    "unital-gkls-d4": lambda: (random_unital_gkls(4, 21), density(np.eye(4, dtype=complex) / 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATE_MODELS))
+def test_ratio_kernel_matches_public_composition(name):
+    gen, phi = RATE_MODELS[name]()
+    fp = fixed_point_expectation(gen, phi)
+    samples = [s.mat for s in state_samples(gen.dim, phi, SamplerConfig(count=40), seed=8)]
+    mats = samples + polish_candidates(phi, np.random.default_rng(9), 40) + [phi.mat]
+    rows = [_ratio(gen, fp, m) for m in mats]
+    assert rows == [reference_ratio(gen, fp, m) for m in mats]
+    # phi is its own projection: D sits below the floor and no ratio is formed
+    assert rows[-1][0] is None and rows[-1][1] < ENTROPY_FLOOR
+    assert sum(r is not None for r, _ in rows) >= len(mats) // 2
+
+
+@pytest.mark.parametrize(
+    "gen,phi,mat",
+    [
+        # a pure state has no finite sandwich factor against the flat reference
+        (depolarizing(2), MAX_MIX_2, np.diag([1.0, 0.0]).astype(complex)),
+        # pinching keeps the roundoff-negative diagonal entry: the projection
+        # is clamped, and the clamped reference is not faithful
+        (
+            schur_generator(np.ones((3, 3)) - np.eye(3)),
+            MAX_MIX_3,
+            np.array([[0.5, 0.2, 0.0], [0.2, 0.5, 0.0], [0.0, 0.0, -1e-12]], dtype=complex),
+        ),
+    ],
+    ids=["pure-state", "clamped-projection"],
+)
+def test_ratio_kernel_raises_like_public_composition(gen, phi, mat):
+    fp = fixed_point_expectation(gen, phi)
+    with pytest.raises(DomainError) as kernel:
+        _ratio(gen, fp, mat)
+    with pytest.raises(DomainError) as composed:
+        reference_ratio(gen, fp, mat)
+    assert str(kernel.value) == str(composed.value)
+
+
+def test_ratio_kernel_decomposes_once(monkeypatch):
+    gen, rho_arr, sigma_arr = pinching_model(5, 15)
+    fp = fixed_point_expectation(gen, density(sigma_arr))
+    counts = Counter()
+    shapes = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            counts[name] += 1
+            shapes.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+        label = f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name, counted(label, getattr(owner, name)))
+    r, _ = _ratio(gen, fp, rho_arr)
+    assert r is not None
+    assert counts == {"numpy.linalg.eigh": 1, "numpy.linalg.eigvalsh": 1, "scipy.linalg.eigh": 1}
+    # rho and its projection share the one batched eigh
+    assert ("numpy.linalg.eigh", (2, 5, 5)) in shapes
