@@ -261,15 +261,9 @@ def conjugation_super(k: np.ndarray) -> SuperOperator:
 def choi_matrix(s: SuperOperator) -> np.ndarray:
     """Choi matrix sum_ij E_ij (x) S(E_ij); PSD iff S is completely positive."""
     d = s.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    m = s.matrix
-    for i in range(d):
-        for j in range(d):
-            # vec(E_ij) is the standard basis vector at column-major index j*d+i,
-            # so S(E_ij) is a reshaped column of the superoperator matrix.
-            block = unvec(m[:, j * d + i], d)
-            c[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-    return c
+    # matrix[(b, a), (j, i)] holds S(E_ij)[a, b] (column-major vec), and the
+    # Choi matrix puts it at row (i, a), column (j, b)
+    return s.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def is_herm_preserving(s: SuperOperator, tol: float = 1e-10) -> bool:

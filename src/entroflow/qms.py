@@ -15,6 +15,13 @@ multiplier symbol acting entrywise on matrix units, and a raw
 superoperator matrix in the Heisenberg picture.  Raw input is vetted:
 unitality, Hermiticity preservation, and complete positivity of
 exp(-tL) at spot-check times.
+
+The stationary structure has one route.  0 is a semisimple eigenvalue
+of a QMS generator, so the conditional expectation E onto the fixed
+points (fixed_point_expectation) and the projection onto invariant
+states (invariant_states) are both the spectral projection at 0, read
+off one SVD.  phi-symmetry (gns_symmetry_residual) is checked on the
+generator itself, not on the semigroup.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, InputError, NumericalError
 from .matcore import (
@@ -91,8 +97,8 @@ def _check_unital(l_heis: SuperOperator, dim: int):
 
 def _check_cp_semigroup(l_heis: SuperOperator, times=_CP_CHECK_TIMES):
     for t in times:
-        p = expm_superop(l_heis, -t)
-        lo = float(np.linalg.eigvalsh((choi_matrix(p) + choi_matrix(p).conj().T) / 2)[0])
+        c = choi_matrix(expm_superop(l_heis, -t))
+        lo = float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
         if lo < -_CP_TOL:
             raise InputError(
                 f"exp(-tL) is not completely positive at t={t}: min Choi eig {lo:.3e}"
@@ -221,26 +227,31 @@ def _clamped_density(out: np.ndarray, what: str) -> Density:
     return Density(h if clamped is h.mat else HermitianOperator(clamped))
 
 
-def _null_space(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of m."""
+def _spectral_projection_zero(m: np.ndarray, empty: str):
+    """Projection onto ker(m) along ran(m), and an orthonormal basis of ker(m).
+
+    One SVD m = U S V^dag gives both kernels: the trailing columns of V
+    span ker(m), those of U span ker(m^dag).  With v and w those bases,
+    the projection is v (w^dag v)^-1 w^dag, which needs 0 to be a
+    semisimple eigenvalue: w^dag v is singular exactly when it is
+    defective.  An empty kernel raises NumericalError with message empty.
+    """
     u, s, vh = np.linalg.svd(m)
-    top = s.max(initial=0.0)
-    keep = s <= rtol * max(top, 1.0)
-    # svd lists singular values descending; null vectors are trailing rows of vh
-    k = int(keep.sum())
+    # svd lists singular values descending; the kernel is the trailing block
+    k = int((s <= 1e-10 * max(s.max(initial=0.0), 1.0)).sum())
     if k == 0:
-        return np.zeros((m.shape[1], 0), dtype=complex)
-    return vh[-k:].conj().T
-
-
-def _spectral_projection_zero(m: np.ndarray) -> np.ndarray:
-    """Projection onto ker(m) along ran(m), assuming 0 is semisimple."""
-    v = _null_space(m)
-    w = _null_space(m.conj().T)
-    if v.shape[1] != w.shape[1] or v.shape[1] == 0:
+        raise NumericalError(empty)
+    v = vh[-k:].conj().T
+    w = u[:, -k:]
+    try:
+        x = np.linalg.solve(w.conj().T @ v, w.conj().T)
+    except np.linalg.LinAlgError:
+        x = None
+    # w has orthonormal columns, so ||x|| = ||(w^dag v)^-1||: 1/cos of the
+    # widest angle between the two kernels, unbounded as 0 turns defective
+    if x is None or not np.linalg.norm(x) < 1e8:
         raise NumericalError("zero eigenvalue of the generator is defective")
-    cross = w.conj().T @ v
-    return v @ np.linalg.solve(cross, w.conj().T)
+    return v @ x, v
 
 
 @dataclass(frozen=True)
@@ -253,32 +264,44 @@ class InvariantStates:
     faithful_state: Density | None
 
 
-def invariant_states(gen: Generator) -> InvariantStates:
-    """Kernel of L_* intersected with Hermitian matrices, plus faithfulness flag."""
-    d = gen.dim
-    kern = _null_space(gen.schroedinger.matrix)
-    k = kern.shape[1]
-    if k == 0:
-        raise NumericalError("trace-preserving semigroup lost its stationary state")
-    # the kernel is adjoint-closed; extract a real orthonormal Hermitian basis
-    cands = []
-    for i in range(k):
-        x = unvec(kern[:, i], d)
-        cands.append((x + x.conj().T) / 2)
-        cands.append((x - x.conj().T) / 2j)
-    rows = np.array([np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in cands])
-    _, svals, vh = np.linalg.svd(rows)
-    rank = int((svals > 1e-10 * max(svals[0], 1.0)).sum())
-    if rank != k:
-        raise NumericalError("failed to build a Hermitian basis of the stationary space")
-    herm_basis = []
-    for flat in vh[:k]:
-        m = flat[: d * d].reshape(d, d) + 1j * flat[d * d :].reshape(d, d)
-        herm_basis.append((m + m.conj().T) / 2)
+def _hermitian_frame(d: int) -> np.ndarray:
+    """Unitary whose columns are vec of a trace-orthonormal basis of Hermitian matrices.
 
-    proj = _spectral_projection_zero(gen.schroedinger.matrix)
-    mean = unvec(proj @ vec(np.eye(d) / d), d)
-    mean = (mean + mean.conj().T) / 2
+    Column j*d+i belongs to the matrix unit E_ij: E_ii itself, and for
+    i < j (E_ij + E_ji)/sqrt(2), for i > j i(E_ij - E_ji)/sqrt(2).  A
+    superoperator that preserves Hermiticity is real in this frame.
+    """
+    t = np.zeros((d * d, d * d), dtype=complex)
+    r = 1 / np.sqrt(2)
+    for i in range(d):
+        for j in range(d):
+            c, c_t = j * d + i, i * d + j  # vec indices of E_ij and E_ji
+            if i == j:
+                t[c, c] = 1.0
+            elif i < j:
+                t[c, c] = t[c_t, c] = r
+            else:
+                t[c, c], t[c_t, c] = 1j * r, -1j * r
+    return t
+
+
+def invariant_states(gen: Generator) -> InvariantStates:
+    """Kernel of L_* intersected with Hermitian matrices, plus faithfulness flag.
+
+    L_* preserves Hermiticity, so in the Hermitian frame it is a real
+    matrix whose kernel is exactly the Hermitian part of ker(L_*): one
+    SVD gives an orthonormal Hermitian basis of it and the projection
+    E_* that carries 1/d to the faithful mean.
+    """
+    d = gen.dim
+    t = _hermitian_frame(d)
+    l_real = (t.conj().T @ gen.schroedinger.matrix @ t).real
+    proj, kern = _spectral_projection_zero(
+        l_real, "trace-preserving semigroup lost its stationary state"
+    )
+    herm_basis = [unvec(t @ c, d) for c in kern.T]
+    # the frame keeps E_ii, so 1/d has the same coordinates in it
+    mean = unvec(t @ (proj @ vec(np.eye(d) / d)), d)
     mean_min = float(np.linalg.eigvalsh(mean)[0])
     faithful = mean_min > 1e-10
     faithful_state = None
@@ -311,22 +334,21 @@ def invariant_states(gen: Generator) -> InvariantStates:
     )
 
 
-def gns_symmetry_residual(gen: Generator, phi: Density, times=(0.3, 1.0)) -> float:
-    """Deviation from phi-symmetry, max over matrix-unit pairs and spot times.
+def gns_symmetry_residual(gen: Generator, phi: Density) -> float:
+    """Deviation from phi-symmetry of the generator, max over matrix-unit pairs.
 
-    Measures |tr(phi P_t(x)^dag y) - tr(phi x^dag P_t(y))| for all
-    matrix units x, y; zero means the semigroup is symmetric in the
-    phi-weighted (GNS) inner product.
+    Measures |tr(phi L(x)^dag y) - tr(phi x^dag L(y))| for all matrix
+    units x, y: the entries of L^dag F - F L with F = kron(phi^T, 1),
+    the matrix of x -> x phi.  F is Hermitian, so that is the
+    anti-Hermitian part of F L.  Zero means every P_t = exp(-tL) is
+    symmetric in the phi-weighted (GNS) inner product.
     """
     if phi.dim != gen.dim:
         raise InputError("state dimension does not match generator")
-    f = np.kron(phi.mat.T, np.eye(gen.dim))
-    worst = 0.0
-    for t in times:
-        m = gen.semigroup(t).matrix
-        gap = m.conj().T @ f - f @ m
-        worst = max(worst, float(np.abs(gap).max()))
-    return worst
+    d = gen.dim
+    # row (a, i) of F L is sum_b phi[b, a] * row (b, i) of L: a d x d^3 product
+    fl = (phi.mat.T @ gen.heisenberg.matrix.reshape(d, -1)).reshape(d * d, d * d)
+    return float(np.abs(fl.conj().T - fl).max())
 
 
 def is_gns_symmetric(gen: Generator, phi: Density, tol: float = 1e-8) -> bool:
@@ -359,7 +381,8 @@ def _validate_expectation(e_mat: np.ndarray, gen: Generator, phi: Density, tol: 
         raise NumericalError("fixed-point expectation is not idempotent")
     if np.linalg.norm(e.apply(np.eye(d)) - np.eye(d)) > tol:
         raise NumericalError("fixed-point expectation is not unital")
-    lo = float(np.linalg.eigvalsh((choi_matrix(e) + choi_matrix(e).conj().T) / 2)[0])
+    c = choi_matrix(e)
+    lo = float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
     if lo < -1e-8:
         raise NumericalError(f"fixed-point expectation is not CP: min Choi eig {lo:.3e}")
     for t in (0.5, 2.0):
@@ -377,12 +400,14 @@ def _validate_expectation(e_mat: np.ndarray, gen: Generator, phi: Density, tol: 
 def fixed_point_expectation(gen: Generator, phi: Density) -> FixedPointData:
     """Conditional expectation E onto ker(L), with predual E_*.
 
-    phi must be a faithful invariant state.  For a phi-symmetric
-    semigroup E is the kernel projection of the (Hermitian) weighted
-    implementation of L, orthogonal in <x,y> = tr(phi x^dag y); the
-    general case falls back to Cesaro averaging of the semigroup with
-    Richardson extrapolation, doubling the horizon until the
-    projection identities hold.
+    phi must be a faithful invariant state.  0 is a semisimple
+    eigenvalue of the generator of a QMS, so E is the spectral
+    projection onto ker(L) along ran(L), for every generator: one SVD
+    of L gives ker(L) and ker(L^dag), and E = v (w^dag v)^-1 w^dag
+    (see _spectral_projection_zero).  fixed_basis is the orthonormal
+    v.  E is then checked: idempotent, unital, CP, absorbing P_t on
+    both sides and preserving phi, or NumericalError is raised.  For
+    a phi-symmetric semigroup E is orthogonal in <x,y> = tr(phi x^dag y).
 
     Memoized on the generator per exact phi (keyed by its bytes), so
     per-state checks against one reference build E, and run its
@@ -406,36 +431,11 @@ def _build_fixed_point(gen: Generator, phi: Density) -> FixedPointData:
     if resid > 1e-8 * max(1.0, np.linalg.norm(phi.mat)):
         raise DomainError(f"reference state is not invariant: ||L_* phi|| = {resid:.3e}")
 
-    if is_gns_symmetric(gen, phi):
-        g, ginv, l2 = _weighted_implementation(gen, phi)
-        l2 = (l2 + l2.conj().T) / 2
-        w, v = np.linalg.eigh(l2)
-        top = max(abs(w[0]), abs(w[-1]), 1.0)
-        kern = v[:, np.abs(w) <= 1e-10 * top]
-        p0 = kern @ kern.conj().T
-        e_mat = ginv @ p0 @ g
-    else:
-        nz = _nonzero_decay_rate(gen)
-        horizon = 200.0 / nz
-        e_mat = None
-        for _ in range(7):
-            c1 = _cesaro_mean(gen, horizon)
-            c2 = _cesaro_mean(gen, 2 * horizon)
-            cand = 2 * c2 - c1
-            try:
-                _validate_expectation(cand, gen, phi)
-            except NumericalError:
-                horizon *= 2
-                continue
-            e_mat = cand
-            break
-        if e_mat is None:
-            raise NumericalError("Cesaro averaging did not converge to a projection")
-
+    e_mat, kern = _spectral_projection_zero(
+        gen.heisenberg.matrix, "generator has no fixed points"
+    )
     _validate_expectation(e_mat, gen, phi)
-    # tidy exact algebraic identities
-    basis_vecs = _null_space(gen.heisenberg.matrix)
-    fixed = tuple(unvec(basis_vecs[:, i], d) for i in range(basis_vecs.shape[1]))
+    fixed = tuple(unvec(c, d) for c in kern.T)
     for f in fixed:  # shared through the memo above
         f.setflags(write=False)
     return FixedPointData(
@@ -446,33 +446,17 @@ def _build_fixed_point(gen: Generator, phi: Density) -> FixedPointData:
     )
 
 
-def _weighted_implementation(gen: Generator, phi: Density):
-    """(g, g^-1, g L g^-1) with g vec(x) = vec(x phi^(1/2)).
+def _weighted_implementation(gen: Generator, phi: Density) -> np.ndarray:
+    """g L g^-1 with g vec(x) = vec(x phi^(1/2)).
 
-    g L g^-1 is L in the phi-weighted inner product; it is Hermitian
-    exactly when the semigroup is phi-symmetric.
+    It is L in the phi-weighted inner product, Hermitian exactly when
+    the semigroup is phi-symmetric.  g and g^-1 = kron((phi^-1/2)^T, 1)
+    both come from phi's memoized spectrum.
     """
-    root = mat_fn(phi.op, np.sqrt)
-    g = np.kron(root.T, np.eye(gen.dim))
-    ginv = np.linalg.inv(g)
-    return g, ginv, g @ gen.heisenberg.matrix @ ginv
-
-
-def _nonzero_decay_rate(gen: Generator) -> float:
-    w = np.linalg.eigvals(gen.heisenberg.matrix)
-    pos = [abs(x.real) for x in w if abs(x) > 1e-9 * max(1.0, np.abs(w).max())]
-    pos = [r for r in pos if r > 1e-12]
-    return min(pos) if pos else 1.0
-
-
-def _cesaro_mean(gen: Generator, horizon: float) -> np.ndarray:
-    """(1/T) * integral_0^T exp(-sL) ds via a block-matrix exponential."""
-    n = gen.heisenberg.matrix.shape[0]
-    blk = np.zeros((2 * n, 2 * n), dtype=complex)
-    blk[:n, :n] = -gen.heisenberg.matrix
-    blk[:n, n:] = np.eye(n)
-    e = scipy.linalg.expm(blk * horizon)
-    return e[:n, n:] / horizon
+    eye = np.eye(gen.dim)
+    g = np.kron(mat_fn(phi.op, np.sqrt).T, eye)
+    ginv = np.kron(mat_fn(phi.op, lambda x: 1 / np.sqrt(x)).T, eye)
+    return g @ gen.heisenberg.matrix @ ginv
 
 
 def spectral_gap(gen: Generator, phi: Density) -> float:
@@ -485,7 +469,7 @@ def spectral_gap(gen: Generator, phi: Density) -> float:
         raise DomainError("reference state must be faithful")
     if not is_gns_symmetric(gen, phi):
         raise DomainError("spectral gap requires a state-symmetric semigroup")
-    _, _, l2 = _weighted_implementation(gen, phi)
+    l2 = _weighted_implementation(gen, phi)
     herm_resid = np.linalg.norm(l2 - l2.conj().T)
     if herm_resid > 1e-7 * max(1.0, np.linalg.norm(l2)):
         raise NumericalError(

@@ -325,8 +325,8 @@ def coxeter_ball_model():
     return ball.gen, ball.phi
 
 
-# the generators of the benchmark's rate jobs; the GKLS one takes the
-# Cesaro fixed-point path
+# the generators of the benchmark's rate jobs; the GKLS one is the only
+# generator here that is not GNS-symmetric
 RATE_MODELS = {
     "depolarizing-d2": lambda: (depolarizing(2), MAX_MIX_2),
     "depolarizing-d3": lambda: (depolarizing(3), MAX_MIX_3),

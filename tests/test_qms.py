@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from entroflow.errors import DomainError, InputError
-from entroflow.matcore import trace_norm
+from entroflow.errors import DomainError, InputError, NumericalError
+from entroflow.groupsem import build_ball_semigroup
+from entroflow.matcore import trace_norm, unvec
 from entroflow.qms import (
+    _spectral_projection_zero,
     evolve,
     fixed_point_expectation,
     gkls_generator,
@@ -106,6 +109,11 @@ def test_invariant_states_schur_diagonal():
     inv = invariant_states(schur_generator(psi))
     assert len(inv.hermitian_basis) == 3
     assert inv.faithful_exists
+    # an orthonormal basis of the diagonal matrices, each one Hermitian
+    gram = [[np.trace(a.conj().T @ b) for b in inv.hermitian_basis] for a in inv.hermitian_basis]
+    assert np.allclose(gram, np.eye(3), atol=1e-12)
+    for h in inv.hermitian_basis:
+        assert np.allclose(h, np.diag(np.diag(h).real), atol=1e-12)
 
 
 def test_invariant_states_amplitude_damping_not_faithful():
@@ -177,6 +185,145 @@ def test_fixed_point_expectation_cesaro_route():
     assert np.allclose(
         fp.expectation.apply(x), np.trace(phi.mat @ x) * np.eye(2), atol=1e-8
     )
+
+
+def random_unital_gkls(d, seed):
+    """Hamiltonian plus two scaled Haar-unitary jumps: unital, not symmetric."""
+    rng = np.random.default_rng(seed)
+
+    def haar():
+        q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return gkls_generator(hamiltonian=h + h.conj().T, jumps=[np.sqrt(0.8) * haar(), np.sqrt(0.5) * haar()])
+
+
+def cesaro_expectation(gen):
+    """Richardson-extrapolated Cesaro mean 2 C(2T) - C(T) of exp(-sL).
+
+    C(T) = (1/T) int_0^T exp(-sL) ds = E + (1/T) L^-1 (1 - exp(-TL)) on
+    ran(L), so the extrapolation leaves only exp(-T * rate) terms.
+    """
+    lmat = gen.heisenberg.matrix
+    n = lmat.shape[0]
+    w = np.linalg.eigvals(lmat)
+    rate = np.abs(w.real)[np.abs(w) > 1e-9 * np.abs(w).max()].min()
+    blk = np.zeros((2 * n, 2 * n), dtype=complex)
+    blk[:n, :n] = -lmat
+    blk[:n, n:] = np.eye(n)
+
+    def mean(horizon):
+        return scipy.linalg.expm(blk * horizon)[:n, n:] / horizon
+
+    horizon = 60.0 / rate
+    return 2 * mean(2 * horizon) - mean(horizon)
+
+
+def weighted_eigh_expectation(gen, phi):
+    """Kernel projection of the Hermitian weighted implementation g L g^-1."""
+    root = scipy.linalg.sqrtm(phi.mat)
+    g = np.kron(root.T, np.eye(gen.dim))
+    ginv = np.linalg.inv(g)
+    l2 = g @ gen.heisenberg.matrix @ ginv
+    w, v = np.linalg.eigh((l2 + l2.conj().T) / 2)
+    kern = v[:, np.abs(w) <= 1e-10 * max(np.abs(w).max(), 1.0)]
+    return ginv @ kern @ kern.conj().T @ g
+
+
+def null_space(m):
+    """Orthonormal null-space basis (columns) from the SVD of m."""
+    _, s, vh = np.linalg.svd(m)
+    k = int((s <= 1e-10 * max(s.max(), 1.0)).sum())
+    return vh[-k:].conj().T
+
+
+def random_gkls(d, seed):
+    """Hamiltonian plus two Gaussian jumps: a faithful stationary state that is not 1/d."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+    return gkls_generator(hamiltonian=h + h.conj().T, jumps=jumps)
+
+
+@pytest.mark.parametrize("d, seed, unital", [(2, 11, True), (3, 12, True), (4, 13, True), (3, 14, False)])
+def test_fixed_point_matches_cesaro_mean_on_random_gkls(d, seed, unital):
+    if unital:
+        gen, phi = random_unital_gkls(d, seed), density(np.eye(d) / d)
+    else:
+        gen = random_gkls(d, seed)
+        phi = invariant_states(gen).faithful_state
+    assert not is_gns_symmetric(gen, phi)
+    fp = fixed_point_expectation(gen, phi)
+    assert np.allclose(fp.expectation.matrix, cesaro_expectation(gen), rtol=0, atol=1e-8)
+
+
+def ball_model(kind):
+    ball = build_ball_semigroup(kind, 2, 2)
+    return ball.gen, ball.phi
+
+
+SYMMETRIC_MODELS = {
+    "depolarizing-2": lambda: (depolarizing(2), density(np.eye(2) / 2)),
+    "depolarizing-3": lambda: (depolarizing(3), density(np.eye(3) / 3)),
+    "dephasing": lambda: (dephasing_qubit(), density(np.diag([0.3, 0.7]))),
+    "coxeter-2-2": lambda: ball_model("coxeter"),
+    "free-2-2": lambda: ball_model("free"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_MODELS))
+def test_fixed_point_matches_weighted_eigh_on_symmetric_models(name):
+    gen, phi = SYMMETRIC_MODELS[name]()
+    assert is_gns_symmetric(gen, phi)
+    fp = fixed_point_expectation(gen, phi)
+    ref = weighted_eigh_expectation(gen, phi)
+    assert np.allclose(fp.expectation.matrix, ref, rtol=0, atol=1e-10)
+
+
+def test_fixed_basis_is_the_svd_null_space_of_the_generator():
+    psi = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    for gen, phi in (
+        (schur_generator(psi), density(np.diag([0.5, 0.3, 0.2]))),
+        (random_unital_gkls(3, 12), density(np.eye(3) / 3)),
+    ):
+        kern = null_space(gen.heisenberg.matrix)
+        fixed = fixed_point_expectation(gen, phi).fixed_basis
+        assert len(fixed) == kern.shape[1]
+        for f, c in zip(fixed, kern.T):
+            assert np.array_equal(f, unvec(c, gen.dim))
+
+
+def test_stationary_structure_takes_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    gen = random_unital_gkls(3, 12)
+    fixed_point_expectation(gen, density(np.eye(3) / 3))
+    assert calls == [(9, 9)]
+    calls.clear()
+    invariant_states(gen)
+    assert calls == [(9, 9)]
+
+    gen, phi = depolarizing(3), density(np.eye(3) / 3)
+    spectral_gap(gen, phi)
+    assert gen.__dict__.get("_propagators", {}) == {}
+
+
+def test_spectral_projection_zero_rejects_defective_and_empty_kernels():
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NumericalError, match="defective"):
+        _spectral_projection_zero(jordan, "no kernel")
+    with pytest.raises(NumericalError, match="no kernel"):
+        _spectral_projection_zero(np.eye(2), "no kernel")
+    proj, kern = _spectral_projection_zero(np.diag([0.0, 1.0]), "no kernel")
+    assert np.allclose(proj, np.diag([1.0, 0.0]), atol=1e-15)
+    assert kern.shape == (2, 1)
 
 
 def test_fixed_point_expectation_requires_invariant_phi():
