@@ -242,6 +242,8 @@ def _run_debruijn(cfg: dict, outdir: pathlib.Path) -> tuple:
     sigma = _parse_density(cfg["reference"], "reference")
     grid = _parse_grid(cfg.get("t_grid"))
     step = _coerce(float, cfg.get("step", 1e-4), "step")
+    if not 0 < step < np.inf:
+        raise InputError(f"step must be positive and finite, got {step}")
     rec = trajectory(gen, rho0, sigma, grid)
     resid = debruijn_residual(rec, h=step)
 

@@ -39,7 +39,7 @@ from .matcore import (
     _hermitian_part,
     herm_eig_batch,
 )
-from .qms import FixedPointData, Generator, evolve, fixed_point_expectation
+from .qms import FixedPointData, Generator, evolve, evolve_once, fixed_point_expectation
 from .statespace import (
     Density,
     _balpha_spectral,
@@ -104,13 +104,23 @@ class TrajectoryRecord:
 
 
 def trajectory(gen: Generator, rho0: Density, sigma: Density, t_grid) -> TrajectoryRecord:
-    """Evaluate (D, I, alpha) along the evolution at the given times."""
+    """Evaluate (D, I, alpha) along the evolution at the given times.
+
+    Only rho0 is evolved, once per node, so no propagator is kept
+    (see evolve_once).
+    """
     ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] < 0:
-        raise InputError("t_grid must be a strictly increasing nonnegative sequence")
+    if (
+        ts.ndim != 1
+        or ts.size == 0
+        or not np.all(np.isfinite(ts))
+        or np.any(np.diff(ts) <= 0)
+        or ts[0] < 0
+    ):
+        raise InputError("t_grid must be a strictly increasing, finite, nonnegative sequence")
     ds, is_, als = [], [], []
     for t in ts:
-        rt = evolve(gen, rho0, float(t))
+        rt = evolve_once(gen, rho0, float(t))
         ds.append(rel_entropy(rt, sigma))
         is_.append(entropy_production(gen, rt, sigma))
         als.append(balpha_factor(rt, sigma) or math.inf)
@@ -128,20 +138,24 @@ def trajectory(gen: Generator, rho0: Density, sigma: Density, t_grid) -> Traject
 def debruijn_residual(record: TrajectoryRecord, h: float = 1e-4) -> float:
     """Max |dD/dt + I| over the trajectory nodes.
 
-    The derivative is a second-order central difference with fresh
-    evolutions at t +/- h, so the residual measures the identity
-    d/dt D = -I rather than grid resolution.
+    The derivative is a difference quotient of D between two fresh
+    evolutions of rho0, to t + h and to max(t - h, 0): a second-order
+    central difference at every node with t >= h, and a one-sided,
+    first-order one at a node closer than h to 0.  The residual thus
+    measures the identity d/dt D = -I rather than the grid resolution.
+    h must be positive and finite.  Each evolution serves one node, so
+    no propagator is kept (see evolve_once).
     """
-    if h <= 0:
-        raise DomainError(f"step must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise DomainError(f"step must be positive and finite, got {h}")
     gen, rho0, sigma = record.gen, record.rho0, record.sigma
     worst = 0.0
     for t, prod in zip(record.times, record.productions):
         t = float(t)
         lo = max(t - h, 0.0)
         hi = t + h
-        d_hi = rel_entropy(evolve(gen, rho0, hi), sigma)
-        d_lo = rel_entropy(evolve(gen, rho0, lo), sigma)
+        d_hi = rel_entropy(evolve_once(gen, rho0, hi), sigma)
+        d_lo = rel_entropy(evolve_once(gen, rho0, lo), sigma)
         deriv = (d_hi - d_lo) / (hi - lo)
         worst = max(worst, abs(deriv + prod))
     return worst

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import InputError, NumericalError
 
@@ -215,8 +216,22 @@ class SuperOperator:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        # C order even for a transposed view: the layout sets how apply rounds
-        m = np.array(self.matrix, dtype=complex, order="C")
+        # C order even for a transposed view: the layout sets how apply rounds.
+        # A copy, so that freezing it leaves the caller's array writable.
+        self._freeze(np.array(self.matrix, dtype=complex, order="C"))
+
+    @classmethod
+    def _owned(cls, m: np.ndarray) -> "SuperOperator":
+        """SuperOperator of an array just computed here, which no caller holds.
+
+        The array is frozen in place instead of copied; it is copied only
+        if it is not already complex and in C order.
+        """
+        s = object.__new__(cls)
+        s._freeze(np.asarray(m, dtype=complex, order="C"))
+        return s
+
+    def _freeze(self, m: np.ndarray):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"superoperator matrix must be square, got {m.shape}")
         d = int(round(np.sqrt(m.shape[0])))
@@ -237,7 +252,7 @@ class SuperOperator:
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         if self.dim != other.dim:
             raise InputError("superoperator dimensions do not match")
-        return SuperOperator(self.matrix @ other.matrix)
+        return SuperOperator._owned(self.matrix @ other.matrix)
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint with respect to the trace pairing tr(S(x)^dag y)."""
@@ -249,13 +264,13 @@ def schur_multiplier_super(kernel: np.ndarray) -> SuperOperator:
 
     It is diagonal: vec(E_gh) has column-major index h*d+g.
     """
-    return SuperOperator(np.diag(np.asarray(kernel, dtype=complex).flatten(order="F")))
+    return SuperOperator._owned(np.diag(np.asarray(kernel, dtype=complex).flatten(order="F")))
 
 
 def conjugation_super(k: np.ndarray) -> SuperOperator:
     """Superoperator of A -> k A k^dag."""
     k = np.asarray(k, dtype=complex)
-    return SuperOperator(np.kron(k.conj(), k))
+    return SuperOperator._owned(np.kron(k.conj(), k))
 
 
 def choi_matrix(s: SuperOperator) -> np.ndarray:
@@ -281,13 +296,38 @@ def expm_superop(s: SuperOperator, t: float) -> SuperOperator:
     products, and uses scaling-and-squaring otherwise.  An overflowed
     result raises NumericalError.
     """
-    m = s.matrix
-    out = scipy.linalg.expm(m * t)
+    out = scipy.linalg.expm(s.matrix * t)
+    _check_exponential(out, s, t)
+    return SuperOperator._owned(out)
+
+
+def expm_action(s: SuperOperator, t: float, x) -> np.ndarray:
+    """unvec(exp(t * S) vec(x)): the exponential applied to one matrix.
+
+    scipy.sparse.linalg.expm_multiply (Al-Mohy and Higham, 2011) sums
+    the Taylor series of exp(t * S) on the vector itself, in about
+    |t| * ||S||_1 matrix-vector products, and never forms exp(t * S).
+    That beats expm_superop for one operand while |t| * ||S||_1 stays
+    below the side of S; past that, expm_superop's scaling and squaring
+    is cheaper.  A non-finite t raises InputError, a non-finite result
+    NumericalError.
+    """
+    if not math.isfinite(t):
+        raise InputError(f"exponential time must be finite, got {t}")
+    a = np.asarray(x, dtype=complex)
+    if a.shape != (s.dim, s.dim):
+        raise InputError(f"operand shape {a.shape} does not match dim {s.dim}")
+    out = scipy.sparse.linalg.expm_multiply(s.matrix * t, vec(a))
+    _check_exponential(out, s, t)
+    return unvec(out, s.dim)
+
+
+def _check_exponential(out: np.ndarray, s: SuperOperator, t: float):
+    """Raise NumericalError if out, computed from exp(t * S), is not finite."""
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise NumericalError(
-            f"superoperator exponential overflowed at t={t}; ||S||={np.linalg.norm(m):.3e}"
+            f"superoperator exponential overflowed at t={t}; ||S||={np.linalg.norm(s.matrix):.3e}"
         )
-    return SuperOperator(out)
 
 
 def clamp_psd(a, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:

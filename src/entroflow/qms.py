@@ -37,6 +37,7 @@ from .matcore import (
     as_herm,
     choi_matrix,
     clamp_psd,
+    expm_action,
     expm_superop,
     herm_eig,  # noqa: F401  unused here; perfbench/tests/test_tracer.py looks it up
     is_herm_preserving,
@@ -131,13 +132,13 @@ def gkls_generator(hamiltonian=None, jumps=(), dim: int | None = None) -> Genera
         anti = 0.5 * (np.kron(eye, k) + np.kron(k.T, eye))
         l_h += anti - np.kron(v.T, v.conj().T)
         l_s += anti - np.kron(v.conj(), v)
-    heis = SuperOperator(l_h)
+    heis = SuperOperator._owned(l_h)
     _check_unital(heis, d)
     return Generator(
         dim=d,
         variant="gkls",
         heisenberg=heis,
-        schroedinger=SuperOperator(l_s),
+        schroedinger=SuperOperator._owned(l_s),
         hamiltonian=h,
         jumps=tuple(vs),
     )
@@ -201,12 +202,43 @@ def raw_generator(matrix) -> Generator:
 def evolve(gen: Generator, rho: Density, t: float) -> Density:
     """Schroedinger evolution of a state: exp(-t L_*) rho.
 
-    Postconditions: trace preserved within 1e-10 (relative), output PSD
-    within -1e-9 (slightly negative eigenvalues are clamped and logged).
+    Applies the propagator gen.presemigroup(t), which the generator
+    keeps for the next state evolved to the same time.  Postconditions
+    (see _evolved_density): trace preserved within 1e-10 (relative),
+    output PSD within -1e-9 (slightly negative eigenvalues are clamped
+    and logged).
     """
     if rho.dim != gen.dim:
         raise InputError("state dimension does not match generator")
-    out = gen.presemigroup(t).apply(rho.mat)
+    return _evolved_density(rho, gen.presemigroup(t).apply(rho.mat))
+
+
+def evolve_once(gen: Generator, rho: Density, t: float) -> Density:
+    """evolve for a time at which no other state will be evolved.
+
+    When t * ||L_*||_1 is at most d^2, the side of L_*, it applies the
+    exponential to rho alone (expm_action) and builds and keeps no
+    propagator; a longer time, where one scaling-and-squaring
+    exponential is cheaper than the series on the vector, goes to
+    evolve.  Either way the result passes evolve's postconditions.
+    """
+    if rho.dim != gen.dim:
+        raise InputError("state dimension does not match generator")
+    if t < 0:
+        raise DomainError(f"semigroup time must be >= 0, got {t}")
+    m = gen.schroedinger.matrix
+    if t * np.abs(m).sum(axis=0).max() <= m.shape[0]:
+        return _evolved_density(rho, expm_action(gen.schroedinger, -t, rho.mat))
+    return evolve(gen, rho, t)
+
+
+def _evolved_density(rho: Density, out: np.ndarray) -> Density:
+    """Density of out, the computed exp(-t L_*) rho, after evolve's postconditions.
+
+    The Hermitian part of out must keep rho's trace within 1e-10
+    (relative), or NumericalError is raised; eigenvalues in [-1e-9, 0)
+    are clamped (see _clamped_density).
+    """
     out = (out + out.conj().T) / 2
     tr_out = float(np.trace(out).real)
     if abs(tr_out - rho.trace) > 1e-10 * max(1.0, rho.trace):

@@ -141,6 +141,10 @@ MLSI_CFG = {
         ("debruijn", {"t_grid": {"start": 0.1, "stop": 1.0, "count": -1}}),
         ("debruijn", {"t_grid": {"start": float("nan"), "stop": 1.0, "count": 4}}),
         ("debruijn", {"t_grid": {"start": 0.1, "stop": float("inf"), "count": 4}}),
+        ("debruijn", {"step": float("nan")}),
+        ("debruijn", {"step": float("inf")}),
+        ("debruijn", {"step": 0.0}),
+        ("debruijn", {"step": -1e-4}),
     ],
 )
 def test_exit_code_bad_config_value(tmp_path, capsys, command, patch):

@@ -21,7 +21,7 @@ from entroflow.entropyflow import (
     _ratio,
     trajectory,
 )
-from entroflow.errors import DomainError
+from entroflow.errors import DomainError, InputError
 from entroflow.groupsem import build_ball_semigroup
 from entroflow.matcore import HermitianOperator, herm_eig
 from entroflow.qms import fixed_point_expectation, gkls_generator, schur_generator
@@ -118,6 +118,56 @@ def test_trajectory_rejects_bad_grid():
     gen = depolarizing(2)
     with pytest.raises(Exception):
         trajectory(gen, bloch_diag(0.5), MAX_MIX_2, [0.5, 0.2])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_trajectory_and_residual_reject_nonfinite_times(bad):
+    gen = depolarizing(2)
+    with pytest.raises(InputError, match="finite"):
+        trajectory(gen, bloch_diag(0.5), MAX_MIX_2, [0.1, bad])
+    rec = trajectory(gen, bloch_diag(0.5), MAX_MIX_2, [0.1, 0.4])
+    with pytest.raises(DomainError, match="finite"):
+        debruijn_residual(rec, h=bad)
+
+
+def random_state(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    return density(m / np.trace(m).real)
+
+
+def counted_expm(monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return expm(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
+def test_debruijn_run_builds_no_propagator(monkeypatch):
+    calls = counted_expm(monkeypatch)
+    gen = random_unital_gkls(8, 23)
+    ts = np.linspace(0.05, 1.0, 4)
+    m = gen.schroedinger.matrix
+    assert (ts[-1] + 1e-4) * np.abs(m).sum(axis=0).max() <= 64  # the action side
+    rec = trajectory(gen, random_state(8, 24), density(np.eye(8) / 8), ts)
+    debruijn_residual(rec, h=1e-4)
+    assert calls == []
+    assert gen.__dict__.get("_propagators", {}) == {}
+
+
+def test_long_trajectory_node_takes_the_propagator(monkeypatch):
+    calls = counted_expm(monkeypatch)
+    gen = depolarizing(2)
+    rec = trajectory(gen, bloch_diag(0.5), MAX_MIX_2, [0.5, 1e4])
+    assert calls == [(4, 4)]
+    assert list(gen._propagators) == [("s", 1e4)]
+    assert rec.entropies[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_debruijn_residual_small_on_flow():

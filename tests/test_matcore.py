@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from entroflow.errors import InputError, NumericalError
 from entroflow.matcore import (
@@ -9,6 +10,7 @@ from entroflow.matcore import (
     choi_matrix,
     clamp_psd,
     conjugation_super,
+    expm_action,
     expm_superop,
     herm_eig,
     is_herm_preserving,
@@ -205,6 +207,45 @@ def test_expm_matches_closed_form(m, t, expect, tol):
         assert np.allclose(e, expect, **tol)
     else:  # relative Frobenius error
         assert np.linalg.norm(e - expect) <= tol * np.linalg.norm(expect)
+
+
+def test_expm_superop_keeps_the_fresh_exponential_and_copies_caller_arrays(monkeypatch):
+    made = []
+    expm = scipy.linalg.expm
+
+    def kept(*args, **kwargs):
+        made.append(expm(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(scipy.linalg, "expm", kept)
+    m = _herm_super(3, 13)
+    s = SuperOperator(m)
+    # a caller's array is copied, so freezing the copy leaves it writable
+    assert not np.shares_memory(s.matrix, m) and m.flags.writeable
+    e = expm_superop(s, 0.6)
+    assert e.matrix is made[0] and not e.matrix.flags.writeable
+    copied = SuperOperator(made[0].copy())
+    x = np.random.default_rng(14).normal(size=(3, 3)) + 0j
+    assert np.array_equal(e.apply(x), copied.apply(x))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.4, -1.3])
+def test_expm_action_matches_expm_superop(t):
+    s = SuperOperator(_herm_super(3, 15) + 0.3j * _herm_super(3, 16))
+    x = np.random.default_rng(17).normal(size=(3, 3)) + 1j
+    # both are accurate to rounding; they sum the series in different orders
+    assert np.abs(expm_action(s, t, x) - expm_superop(s, t).apply(x)).max() <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_expm_action_rejects_nonfinite_time_and_result():
+    s = SuperOperator(_herm_super(2, 18))
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(InputError, match="finite"):
+            expm_action(s, t, np.eye(2))
+    with pytest.raises(NumericalError, match="overflowed"):
+        expm_action(SuperOperator(np.eye(4)), 800.0, np.eye(2))
 
 
 def test_clamp_psd_zeroes_small_negatives():

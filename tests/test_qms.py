@@ -8,6 +8,7 @@ from entroflow.matcore import trace_norm, unvec
 from entroflow.qms import (
     _spectral_projection_zero,
     evolve,
+    evolve_once,
     fixed_point_expectation,
     gkls_generator,
     gns_symmetry_residual,
@@ -352,3 +353,52 @@ def test_long_time_convergence_to_fixed_point():
         rho = density(np.array([[0.7, 0.25], [0.25, 0.3]], dtype=complex))
         far = evolve(gen, rho, 50.0 / gap)
         assert trace_norm(far.mat - fp.project_state(rho).mat) <= 1e-6
+
+
+def random_state(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    return density(m / np.trace(m).real)
+
+
+def action_limit(gen):
+    """The time up to which evolve_once applies the exponential to the state alone."""
+    m = gen.schroedinger.matrix
+    return m.shape[0] / np.abs(m).sum(axis=0).max()
+
+
+EVOLVE_ONCE_MODELS = {
+    **{f"unital-gkls-d{d}": (lambda d=d: random_unital_gkls(d, 40 + d)) for d in (2, 4, 8, 16)},
+    "gkls-d3": lambda: random_gkls(3, 14),
+    "schur-ball-coxeter-2-2": lambda: build_ball_semigroup("coxeter", 2, 2).gen,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVOLVE_ONCE_MODELS))
+def test_evolve_once_matches_evolve(name):
+    """Differential test of the action route against the cached-propagator route.
+
+    Below the limit the two routes sum exp(-t L_*) rho in different orders;
+    both are accurate to rounding, and the states (trace one) must agree
+    entrywise within 1e-13.  Above it evolve_once is evolve, bit for bit.
+    """
+    gen = EVOLVE_ONCE_MODELS[name]()
+    rho = random_state(gen.dim, gen.dim)
+    limit = action_limit(gen)
+    for t in (0.0, 0.9 * limit):
+        once = evolve_once(gen, rho, t)
+        assert gen.__dict__.get("_propagators", {}) == {}
+        assert np.abs(once.mat - evolve(gen, rho, t).mat).max() <= 1e-13
+        gen.__dict__["_propagators"].clear()
+    once = evolve_once(gen, rho, 1.1 * limit)
+    assert list(gen._propagators) == [("s", 1.1 * limit)]
+    assert np.array_equal(once.mat, evolve(gen, rho, 1.1 * limit).mat)
+
+
+def test_evolve_once_checks_time_and_dimension():
+    gen = depolarizing(2)
+    with pytest.raises(DomainError):
+        evolve_once(gen, random_state(2, 1), -0.1)
+    with pytest.raises(InputError):
+        evolve_once(gen, random_state(3, 1), 0.1)
