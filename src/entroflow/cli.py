@@ -8,10 +8,8 @@ output directory.
 
 report.json is byte-identical for identical configs and seeds: floats
 are serialized with a fixed .17g format, keys are sorted, and nothing
-time- or machine-dependent goes into it.  Wall-clock time and the
-worker count live in the separate timing.json sidecar.  The worker
-count comes from the ENTROFLOW_WORKERS environment variable, falling
-back to the config, and changes timing only, never results.
+time- or machine-dependent goes into it.  Wall-clock time lives in
+the separate timing.json sidecar.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 unreadable or
 malformed input, 3 domain error (valid syntax, impossible request),
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 import time
@@ -200,16 +197,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _workers(cfg: dict) -> int:
-    env = os.environ.get("ENTROFLOW_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InputError(f"ENTROFLOW_WORKERS must be an integer, got {env!r}") from exc
-    return max(1, _coerce(int, cfg.get("workers", 1), "workers"))
-
-
 def _tol(cfg: dict, name: str, default: float) -> float:
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
@@ -295,7 +282,6 @@ def _run_mlsi(cfg: dict, outdir: pathlib.Path) -> tuple:
         phi,
         sampler=sampler,
         seed=seed,
-        workers=_workers(cfg),
         polish_budget=_coerce(int, cfg.get("polish_budget", 500), "polish_budget"),
         restarts=_coerce(int, cfg.get("restarts", 8), "restarts"),
     )
@@ -471,11 +457,6 @@ _COMMANDS = {
 # ---------------------------------------------------------------- driver
 
 
-def _echo_config(cfg: dict) -> dict:
-    out = {k: v for k, v in cfg.items() if k != "workers"}
-    return out
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="entroflow",
@@ -514,16 +495,13 @@ def main(argv=None) -> int:
         "version": __version__,
         "command": args.command,
         "seed": seed,
-        "config": _echo_config(cfg),
+        "config": cfg,
         "checks": checks,
         "passed": passed,
         "result": payload,
     }
     (outdir / "report.json").write_text(_dump(report) + "\n", encoding="utf-8")
-    timing = {
-        "wall_seconds": time.monotonic() - started,
-        "workers": _workers(cfg) if args.command == "mlsi" else 1,
-    }
+    timing = {"wall_seconds": time.monotonic() - started}
     (outdir / "timing.json").write_text(json.dumps(timing) + "\n", encoding="utf-8")
 
     for c in checks:

@@ -17,13 +17,11 @@ and direct checks of I(rho_t)/I(rho_0) <= e^{-beta t} (production
 monotonicity) and D(rho_t) <= e^{-beta t} D(rho_0) (decay).
 
 Sampling is deterministic: the sample list is generated up front from
-per-index random streams split off one seed, then mapped (possibly by
-a thread pool); results never depend on the worker count.
+per-index random streams split off one seed, then evaluated in order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 
@@ -198,6 +196,8 @@ def state_samples(dim: int, phi: Density, config: SamplerConfig, seed: int) -> l
     balpha_factor finite; the per-index streams make the list
     independent of how it is later consumed.
     """
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if config.count < 1:
         raise InputError("sampler count must be positive")
     if not config.blend_epsilons:
@@ -220,21 +220,6 @@ def state_samples(dim: int, phi: Density, config: SamplerConfig, seed: int) -> l
         eps = config.blend_epsilons[i % len(config.blend_epsilons)]
         out.append(_sample_one(np.random.default_rng(ss), dim, phi_n.mat, kind, eps))
     return out
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        return 1
-    if workers < 1:
-        raise InputError("worker count must be >= 1")
-    return workers
-
-
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -279,7 +264,6 @@ def mlsi_estimate(
     phi: Density,
     sampler: SamplerConfig | None = None,
     seed: int = 0,
-    workers: int | None = None,
     polish_budget: int = 500,
     restarts: int = 8,
 ) -> MlsiReport:
@@ -298,9 +282,8 @@ def mlsi_estimate(
     sampler = sampler or SamplerConfig()
     fp = fixed_point_expectation(gen, phi)
     samples = state_samples(gen.dim, phi, sampler, seed)
-    workers = _resolve_workers(workers)
 
-    rows = _map_ordered(lambda s: _ratio(gen, fp, s.mat), samples, workers)
+    rows = [_ratio(gen, fp, s.mat) for s in samples]
     ratios = []
     skipped = 0
     violations = []
@@ -317,6 +300,7 @@ def mlsi_estimate(
         )
     best_r, best_idx = min(ratios, key=lambda p: p[0])
     worst = samples[best_idx]
+    worst_d = rows[best_idx][1]
 
     d = gen.dim
     phi_n = phi.normalize()
@@ -360,17 +344,16 @@ def mlsi_estimate(
             best_val, best_theta = float(res.fun), res.x
     polished = unpack(best_theta)
     if polished is not None:
-        r, _ = _ratio(gen, fp, polished)
+        r, d_polished = _ratio(gen, fp, polished)
         if r is not None and r < best_r:
-            best_r = r
+            best_r, worst_d = r, d_polished
             worst = density(polished)
 
     beta_ratio = float(best_r)
 
     # decay-rate fit along the worst trajectory, on a window where D is resolved
     fit_state = worst
-    _, d0 = _ratio(gen, fp, fit_state.mat)
-    if d0 is None or d0 < 1e-6:
+    if worst_d < 1e-6:
         cands = [(rows[i][1], i) for (_, i) in ratios if rows[i][1] >= 1e-6]
         if cands:
             fit_state = samples[min(cands, key=lambda p: abs(rows[p[1]][0] - best_r))[1]]

@@ -309,15 +309,19 @@ def expm_action(s: SuperOperator, t: float, x) -> np.ndarray:
     |t| * ||S||_1 matrix-vector products, and never forms exp(t * S).
     That beats expm_superop for one operand while |t| * ||S||_1 stays
     below the side of S; past that, expm_superop's scaling and squaring
-    is cheaper.  A non-finite t raises InputError, a non-finite result
-    NumericalError.
+    is cheaper.  A diagonal S (a Schur multiplier) is exponentiated
+    entrywise instead, the shortcut scipy.linalg.expm takes too.  A
+    non-finite t raises InputError, a non-finite result NumericalError.
     """
     if not math.isfinite(t):
         raise InputError(f"exponential time must be finite, got {t}")
     a = np.asarray(x, dtype=complex)
     if a.shape != (s.dim, s.dim):
         raise InputError(f"operand shape {a.shape} does not match dim {s.dim}")
-    out = scipy.sparse.linalg.expm_multiply(s.matrix * t, vec(a))
+    if scipy.linalg.bandwidth(s.matrix) == (0, 0):
+        out = np.exp(np.diag(s.matrix) * t) * vec(a)
+    else:
+        out = scipy.sparse.linalg.expm_multiply(s.matrix * t, vec(a))
     _check_exponential(out, s, t)
     return unvec(out, s.dim)
 

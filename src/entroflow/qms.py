@@ -418,7 +418,8 @@ def _validate_expectation(e_mat: np.ndarray, gen: Generator, phi: Density, tol: 
     if lo < -1e-8:
         raise NumericalError(f"fixed-point expectation is not CP: min Choi eig {lo:.3e}")
     for t in (0.5, 2.0):
-        p = gen.semigroup(t).matrix
+        # P_t itself, not gen.semigroup(t): nothing else evolves to these times
+        p = expm_superop(gen.heisenberg, -t).matrix
         if np.linalg.norm(e_mat @ p - e_mat) > 1e-8 * scale or np.linalg.norm(
             p @ e_mat - e_mat
         ) > 1e-8 * scale:

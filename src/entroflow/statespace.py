@@ -207,7 +207,8 @@ def rel_hamiltonian(rho: Density, sigma: Density, support=None) -> np.ndarray:
             raise DomainError(
                 "states must be faithful (or pass an explicit common support)"
             )
-        return _faithful_rel_hamiltonian(rho, sigma, balpha_factor(rho, sigma))
+        alpha = balpha_factor(rho, sigma)
+        return _rel_hamiltonian_spectral(rho.op.spectrum, sigma.op.spectrum, alpha)
     v = np.asarray(support, dtype=complex)
     if v.ndim != 2 or v.shape[0] != rho.dim:
         raise InputError("support must be a dim x r isometry")
@@ -222,17 +223,12 @@ def rel_hamiltonian(rho: Density, sigma: Density, support=None) -> np.ndarray:
     return (h + h.conj().T) / 2
 
 
-def _faithful_rel_hamiltonian(rho: Density, sigma: Density, alpha) -> np.ndarray:
-    """log rho - log sigma for faithful states whose balpha_factor is alpha.
-
-    Callers that already computed alpha pass it here instead of
-    recomputing it; the log(alpha) bound is still asserted.
-    """
-    return _rel_hamiltonian_spectral(rho.op.spectrum, sigma.op.spectrum, alpha)
-
-
 def _rel_hamiltonian_spectral(dr: SpectralDecomposition, ds: SpectralDecomposition, alpha):
-    """_faithful_rel_hamiltonian from the decompositions of rho and sigma."""
+    """log rho - log sigma of faithful states, from their decompositions.
+
+    alpha is their balpha_factor, computed by the caller; when it is not
+    None, the log(alpha) bound on the result is asserted.
+    """
     h = _spectral_fn(dr, np.log, SUPPORT_CUTOFF) - _spectral_fn(ds, np.log, SUPPORT_CUTOFF)
     if alpha is None:
         return (h + h.conj().T) / 2

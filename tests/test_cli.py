@@ -40,7 +40,6 @@ def test_debruijn_run_passes(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is True
     assert report["command"] == "debruijn"
-    assert "workers" not in report["config"]
     names = [c["name"] for c in report["checks"]]
     assert "debruijn_residual" in names
     csv = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()
@@ -112,7 +111,7 @@ MLSI_CFG = {
     [
         ("mlsi", {"sampler": {"count": "abc"}}),
         ("mlsi", {"sampler": {"blend_epsilons": 5}}),
-        ("mlsi", {"workers": "x"}),
+        ("mlsi", {"seed": -1}),
         ("mlsi", {"polish_budget": [1]}),
         ("mlsi", {"restarts": "many"}),
         ("mlsi", {"seed": "abc"}),
@@ -162,6 +161,14 @@ def test_exit_code_bad_config_value(tmp_path, capsys, command, patch):
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad input:")
+    assert "Traceback" not in err
+
+
+def test_negative_seed_option_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", MLSI_CFG)
+    assert main(["mlsi", "--config", path, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input:") and "seed" in err
     assert "Traceback" not in err
 
 
@@ -234,7 +241,8 @@ def test_subalg_run_passes(tmp_path):
     assert "resolvent_defect" in report["result"]
 
 
-def test_mlsi_run_and_worker_independence(tmp_path, monkeypatch):
+def test_mlsi_run_and_worker_independence(tmp_path):
+    """An mlsi run passes, finds the qubit rate 2, and a rerun writes the same bytes."""
     cfg = {
         "generator": depolarizing_cfg(),
         "phi": [[0.5, 0.0], [0.0, 0.5]],
@@ -244,15 +252,11 @@ def test_mlsi_run_and_worker_independence(tmp_path, monkeypatch):
         "polish_budget": 200,
     }
     path = write_config(tmp_path / "c.json", cfg)
-    monkeypatch.setenv("ENTROFLOW_WORKERS", "1")
-    assert main(["mlsi", "--config", path, "--out", str(tmp_path / "w1")]) == 0
-    monkeypatch.setenv("ENTROFLOW_WORKERS", "4")
-    assert main(["mlsi", "--config", path, "--out", str(tmp_path / "w4")]) == 0
-    r1 = (tmp_path / "w1" / "report.json").read_bytes()
-    r4 = (tmp_path / "w4" / "report.json").read_bytes()
-    assert r1 == r4
-    t4 = json.loads((tmp_path / "w4" / "timing.json").read_text())
-    assert t4["workers"] == 4
+    assert main(["mlsi", "--config", path, "--out", str(tmp_path / "r1")]) == 0
+    assert main(["mlsi", "--config", path, "--out", str(tmp_path / "r2")]) == 0
+    r1 = (tmp_path / "r1" / "report.json").read_bytes()
+    r2 = (tmp_path / "r2" / "report.json").read_bytes()
+    assert r1 == r2
     report = json.loads(r1.decode())
     assert report["result"]["beta_ratio"] == pytest.approx(2.0, abs=0.05)
 

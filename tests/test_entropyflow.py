@@ -213,6 +213,11 @@ def test_state_samples_are_seeded_and_faithful():
         assert balpha_factor(s, MAX_MIX_2) is not None
 
 
+def test_state_samples_reject_a_negative_seed():
+    with pytest.raises(InputError, match="seed"):
+        state_samples(2, MAX_MIX_2, SamplerConfig(count=4), seed=-1)
+
+
 def test_mlsi_depolarizing_qubit_rate_two():
     gen = depolarizing(2)
     rep = mlsi_estimate(gen, MAX_MIX_2, SamplerConfig(count=40), seed=3)
@@ -221,18 +226,6 @@ def test_mlsi_depolarizing_qubit_rate_two():
     assert rep.beta_fit == pytest.approx(2.0, abs=0.1)
     assert rep.sample_count == 40
     assert not rep.violations
-
-
-def test_mlsi_report_independent_of_worker_count():
-    gen = dephasing_qubit()
-    cfg = SamplerConfig(count=20)
-    reps = [
-        mlsi_estimate(gen, MAX_MIX_2, cfg, seed=9, workers=w, restarts=2)
-        for w in (1, 4)
-    ]
-    assert reps[0].beta_ratio == reps[1].beta_ratio
-    assert reps[0].beta_fit == reps[1].beta_fit
-    assert np.array_equal(reps[0].worst_state.mat, reps[1].worst_state.mat)
 
 
 def test_mlsi_dephasing_rate_bounded_by_twice_gap():

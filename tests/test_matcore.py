@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from entroflow.errors import InputError, NumericalError
 from entroflow.matcore import (
@@ -17,6 +18,7 @@ from entroflow.matcore import (
     mat_fn,
     min_eig,
     op_norm,
+    schur_multiplier_super,
     support_projector,
     trace_norm,
     unvec,
@@ -235,6 +237,18 @@ def test_expm_action_matches_expm_superop(t):
     x = np.random.default_rng(17).normal(size=(3, 3)) + 1j
     # both are accurate to rounding; they sum the series in different orders
     assert np.abs(expm_action(s, t, x) - expm_superop(s, t).apply(x)).max() <= 1e-13
+
+
+def test_expm_action_takes_a_diagonal_entrywise(monkeypatch):
+    calls = []
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda *a, **k: calls.append(a))
+    rng = np.random.default_rng(19)
+    k = rng.uniform(0.0, 3.0, size=(4, 4))
+    s = schur_multiplier_super(k + k.T)
+    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for t in (0.0, -0.7, -40.0):
+        assert np.array_equal(expm_action(s, t, x), expm_superop(s, t).apply(x))
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from entroflow.errors import DomainError, InputError, NumericalError
 from entroflow.groupsem import build_ball_semigroup
@@ -316,6 +317,19 @@ def test_stationary_structure_takes_one_svd(monkeypatch):
     assert gen.__dict__.get("_propagators", {}) == {}
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_gkls(3, 14), lambda: build_ball_semigroup("coxeter", 2, 2).gen],
+    ids=["gkls-d3", "schur-ball-coxeter-2-2"],
+)
+def test_fixed_point_expectation_keeps_no_propagator(make):
+    # its absorption check exponentiates L at two times no caller reuses
+    gen = make()
+    phi = invariant_states(gen).faithful_state
+    fixed_point_expectation(gen, phi)
+    assert gen.__dict__.get("_propagators", {}) == {}
+
+
 def test_spectral_projection_zero_rejects_defective_and_empty_kernels():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NumericalError, match="defective"):
@@ -394,6 +408,21 @@ def test_evolve_once_matches_evolve(name):
     once = evolve_once(gen, rho, 1.1 * limit)
     assert list(gen._propagators) == [("s", 1.1 * limit)]
     assert np.array_equal(once.mat, evolve(gen, rho, 1.1 * limit).mat)
+
+
+def test_evolve_once_takes_a_schur_generator_entrywise(monkeypatch):
+    """Below the limit a diagonal L_* is exponentiated entrywise, as evolve does."""
+    calls = []
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda *a, **k: calls.append(a))
+    gen = build_ball_semigroup("free", 2, 2).gen
+    rho = random_state(gen.dim, 5)
+    assert action_limit(gen) > 71.5
+    for t in (36.0, 71.5):
+        once = evolve_once(gen, rho, t)
+        assert gen.__dict__.get("_propagators", {}) == {}
+        assert np.array_equal(once.mat, evolve(gen, rho, t).mat)
+        gen.__dict__["_propagators"].clear()
+    assert calls == []
 
 
 def test_evolve_once_checks_time_and_dimension():
