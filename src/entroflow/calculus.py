@@ -154,23 +154,32 @@ def intertwining_residual(gen: Generator, calc: DiffCalculus, times=(0.25, 1.0))
 
     Zero (to rounding) whenever gen is the Schur generator of the
     calculus symbol; a generator with a different symbol is rejected.
-    delta_i and M^i_t are diagonal, so both products are exact entrywise
-    scalings by dv = vec(v_i(g) - v_i(h)), which lies in {0, +-1}.
+    delta_i and M^i_t are Schur multipliers, with dv = vec(v_i(g) -
+    v_i(h)) in {0, +-1}: both products are exact scalings, entrywise
+    on the kernel of a Schur P_t and row by row on a dense one.
     """
     times = _check_times(times)
-    expected = generator_from_calculus(calc)
-    if gen.dim != calc.dim or not np.allclose(
-        gen.heisenberg.matrix, expected.heisenberg.matrix, atol=1e-10
-    ):
+    expected = generator_from_calculus(calc).heisenberg
+    heis = gen.heisenberg
+    if gen.dim != calc.dim:
         raise DomainError("generator is not generated by this calculus")
-    propagators = {t: gen.semigroup(t).matrix for t in times}
+    if heis.kernel is None:
+        same = np.allclose(heis.matrix, expected.matrix, atol=1e-10)
+    else:
+        same = np.allclose(heis.kernel, expected.kernel, atol=1e-10)
+    if not same:
+        raise DomainError("generator is not generated by this calculus")
+    propagators = {t: gen.semigroup(t) for t in times}
     worst = 0.0
     for i in range(calc.count):
         dv = vec(calc.difference(i))
         for t, s_t in propagators.items():
             kappa = vec(component_kernel(calc, (i,), t))
-            r = dv[:, None] * s_t
-            r[np.diag_indices_from(r)] -= kappa * dv
+            if s_t.kernel is None:
+                r = dv[:, None] * s_t.matrix
+                r[np.diag_indices_from(r)] -= kappa * dv
+            else:
+                r = dv * vec(s_t.kernel) - kappa * dv
             worst = max(worst, float(np.max(np.abs(r))))
     return worst
 

@@ -150,11 +150,14 @@ def _parse_generator(obj) -> Generator:
     kind = obj["type"]
     if kind == "gkls":
         ham = _parse_matrix(obj["hamiltonian"], "hamiltonian") if obj.get("hamiltonian") else None
-        jumps = [_parse_matrix(j, "jump operator") for j in obj.get("jumps", [])]
+        jumps = obj.get("jumps", [])
+        if not isinstance(jumps, list):
+            raise InputError("jumps must be a list of matrices")
+        jumps = [_parse_matrix(j, "jump operator") for j in jumps]
         dim = obj.get("dim")
         return gkls_generator(hamiltonian=ham, jumps=jumps, dim=dim)
     if kind == "schur":
-        return schur_generator(_parse_matrix(obj["symbol"], "symbol").real)
+        return schur_generator(_parse_matrix(obj["symbol"], "symbol"))
     if kind == "matrix":
         return raw_generator(_parse_matrix(obj["heisenberg"], "heisenberg matrix"))
     raise InputError(f"unknown generator type {obj['type']!r}")

@@ -204,21 +204,25 @@ def op_norm(a) -> float:
     return float(np.abs(w).max())
 
 
-@dataclass(frozen=True)
 class SuperOperator:
-    """Linear map on dim x dim matrices, stored as a dim^2 x dim^2 matrix.
+    """Linear map on dim x dim matrices, held in one of two forms.
 
-    The matrix acts on column-major vectorizations: apply(X) =
-    unvec(matrix @ vec(X)).
+    A dense map holds its dim^2 x dim^2 matrix, which acts on column-major
+    vectorizations: apply(X) = unvec(matrix @ vec(X)).  A Schur
+    multiplier X -> K * X (entrywise) holds only its dim x dim kernel K;
+    its matrix is diagonal with vec(K) on the diagonal, built whenever
+    .matrix is read and never kept.  On kernels apply, @, adjoint,
+    expm_superop and expm_action act entrywise; on a real kernel, as a
+    Schur generator's is, they give the bits the diagonal matrix gives.
+    kernel is None for a dense map.  Immutable.
     """
 
-    matrix: np.ndarray
-    dim: int = field(init=False)
+    __slots__ = ("_matrix", "kernel", "dim")
 
-    def __post_init__(self):
+    def __init__(self, matrix):
         # C order even for a transposed view: the layout sets how apply rounds.
         # A copy, so that freezing it leaves the caller's array writable.
-        self._freeze(np.array(self.matrix, dtype=complex, order="C"))
+        self._freeze(np.array(matrix, dtype=complex, order="C"), None)
 
     @classmethod
     def _owned(cls, m: np.ndarray) -> "SuperOperator":
@@ -228,43 +232,77 @@ class SuperOperator:
         if it is not already complex and in C order.
         """
         s = object.__new__(cls)
-        s._freeze(np.asarray(m, dtype=complex, order="C"))
+        s._freeze(np.asarray(m, dtype=complex, order="C"), None)
         return s
 
-    def _freeze(self, m: np.ndarray):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError(f"superoperator matrix must be square, got {m.shape}")
-        d = int(round(np.sqrt(m.shape[0])))
-        if d * d != m.shape[0]:
-            raise InputError(f"superoperator side {m.shape[0]} is not a square")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    @classmethod
+    def _schur(cls, diag: np.ndarray) -> "SuperOperator":
+        """Schur multiplier whose kernel is unvec(diag), a fresh complex vector."""
+        s = object.__new__(cls)
+        s._freeze(None, unvec(diag, math.isqrt(diag.shape[0])))
+        return s
+
+    def _freeze(self, m, kernel):
+        """Validate and freeze the one stored form: matrix m, or kernel if m is None."""
+        if m is None:
+            a, d = kernel, kernel.shape[0]
+        else:
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise InputError(f"superoperator matrix must be square, got {m.shape}")
+            a, d = m, math.isqrt(m.shape[0])
+            if d * d != m.shape[0]:
+                raise InputError(f"superoperator side {m.shape[0]} is not a square")
+        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise InputError("superoperator has non-finite entries")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        a.setflags(write=False)
+        object.__setattr__(self, "_matrix", m)
+        object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "dim", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SuperOperator is immutable; cannot set {name!r}")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dim^2 x dim^2 matrix; for a Schur multiplier a new diagonal one."""
+        if self.kernel is None:
+            return self._matrix
+        m = np.diag(vec(self.kernel))
+        m.setflags(write=False)
+        return m
 
     def apply(self, x) -> np.ndarray:
         a = x.mat if isinstance(x, HermitianOperator) else np.asarray(x, dtype=complex)
         if a.shape != (self.dim, self.dim):
             raise InputError(f"operand shape {a.shape} does not match dim {self.dim}")
+        if self.kernel is not None:
+            # + 0.0 turns -0 into +0, as the diagonal matrix-vector product does
+            return unvec(vec(self.kernel) * vec(a) + 0.0, self.dim)
         return unvec(self.matrix @ vec(a), self.dim)
 
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         if self.dim != other.dim:
             raise InputError("superoperator dimensions do not match")
+        if self.kernel is not None and other.kernel is not None:
+            return SuperOperator._schur(vec(self.kernel) * vec(other.kernel) + 0.0)
         return SuperOperator._owned(self.matrix @ other.matrix)
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint with respect to the trace pairing tr(S(x)^dag y)."""
+        if self.kernel is not None:
+            return SuperOperator._schur(vec(self.kernel).conj())
         return SuperOperator(self.matrix.conj().T)
 
 
 def schur_multiplier_super(kernel: np.ndarray) -> SuperOperator:
-    """Superoperator of the Schur multiplier A -> kernel * A (entrywise).
+    """Schur multiplier A -> kernel * A (entrywise), held as its kernel.
 
-    It is diagonal: vec(E_gh) has column-major index h*d+g.
+    Its matrix is diagonal: vec(E_gh) has column-major index h*d+g.
     """
-    return SuperOperator._owned(np.diag(np.asarray(kernel, dtype=complex).flatten(order="F")))
+    k = np.array(kernel, dtype=complex, order="F")
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise InputError(f"Schur kernel must be square, got shape {k.shape}")
+    return SuperOperator._schur(vec(k))
 
 
 def conjugation_super(k: np.ndarray) -> SuperOperator:
@@ -291,11 +329,15 @@ def is_herm_preserving(s: SuperOperator, tol: float = 1e-10) -> bool:
 def expm_superop(s: SuperOperator, t: float) -> SuperOperator:
     """Matrix exponential exp(t * S) of a superoperator.
 
-    One route for every input: scipy.linalg.expm, which exponentiates a
-    diagonal matrix (a Schur multiplier) entrywise, with no matrix
-    products, and uses scaling-and-squaring otherwise.  An overflowed
-    result raises NumericalError.
+    A Schur multiplier is exponentiated entrywise, exp(t * kernel) on
+    its complex kernel: the bits scipy.linalg.expm gives for the
+    diagonal matrix.  A dense map goes through scipy.linalg.expm
+    (scaling and squaring).  An overflowed result raises NumericalError.
     """
+    if s.kernel is not None:
+        out = np.exp(vec(s.kernel) * t)
+        _check_exponential(out, s, t)
+        return SuperOperator._schur(out)
     out = scipy.linalg.expm(s.matrix * t)
     _check_exponential(out, s, t)
     return SuperOperator._owned(out)
@@ -309,17 +351,17 @@ def expm_action(s: SuperOperator, t: float, x) -> np.ndarray:
     |t| * ||S||_1 matrix-vector products, and never forms exp(t * S).
     That beats expm_superop for one operand while |t| * ||S||_1 stays
     below the side of S; past that, expm_superop's scaling and squaring
-    is cheaper.  A diagonal S (a Schur multiplier) is exponentiated
-    entrywise instead, the shortcut scipy.linalg.expm takes too.  A
-    non-finite t raises InputError, a non-finite result NumericalError.
+    is cheaper.  A Schur multiplier is exponentiated entrywise instead,
+    as expm_superop does.  A non-finite t raises InputError, a
+    non-finite result NumericalError.
     """
     if not math.isfinite(t):
         raise InputError(f"exponential time must be finite, got {t}")
     a = np.asarray(x, dtype=complex)
     if a.shape != (s.dim, s.dim):
         raise InputError(f"operand shape {a.shape} does not match dim {s.dim}")
-    if scipy.linalg.bandwidth(s.matrix) == (0, 0):
-        out = np.exp(np.diag(s.matrix) * t) * vec(a)
+    if s.kernel is not None:
+        out = np.exp(vec(s.kernel) * t) * vec(a)
     else:
         out = scipy.sparse.linalg.expm_multiply(s.matrix * t, vec(a))
     _check_exponential(out, s, t)
@@ -329,9 +371,8 @@ def expm_action(s: SuperOperator, t: float, x) -> np.ndarray:
 def _check_exponential(out: np.ndarray, s: SuperOperator, t: float):
     """Raise NumericalError if out, computed from exp(t * S), is not finite."""
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise NumericalError(
-            f"superoperator exponential overflowed at t={t}; ||S||={np.linalg.norm(s.matrix):.3e}"
-        )
+        norm = np.linalg.norm(s.matrix if s.kernel is None else s.kernel)
+        raise NumericalError(f"superoperator exponential overflowed at t={t}; ||S||={norm:.3e}")
 
 
 def clamp_psd(a, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:

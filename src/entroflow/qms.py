@@ -16,12 +16,18 @@ superoperator matrix in the Heisenberg picture.  Raw input is vetted:
 unitality, Hermiticity preservation, and complete positivity of
 exp(-tL) at spot-check times.
 
-The stationary structure has one route.  0 is a semisimple eigenvalue
-of a QMS generator, so the conditional expectation E onto the fixed
-points (fixed_point_expectation) and the projection onto invariant
-states (invariant_states) are both the spectral projection at 0, read
-off one SVD.  phi-symmetry (gns_symmetry_residual) is checked on the
-generator itself, not on the semigroup.
+A Schur generator holds only the d x d kernel of its multiplier (see
+matcore.SuperOperator), so its propagators, evolutions and fixed-point
+projections are entrywise; the other variants hold dense d^2 x d^2
+matrices.
+
+The stationary structure is the spectral projection at 0, a
+semisimple eigenvalue of a QMS generator.  For a dense generator the
+conditional expectation E onto the fixed points (fixed_point_expectation)
+and the projection onto invariant states (invariant_states) are both
+read off one SVD; for a Schur generator E is the 0/1 pattern of the
+zeros of its symbol.  phi-symmetry (gns_symmetry_residual) is checked
+on the generator itself, not on the semigroup.
 """
 
 from __future__ import annotations
@@ -149,9 +155,16 @@ def schur_generator(symbol) -> Generator:
 
     The symbol must be real symmetric, entrywise >= 0, with zero
     diagonal; exp(-t*symbol) must be entrywise a PSD kernel for the
-    semigroup to be completely positive, which is spot-checked.
+    semigroup to be completely positive, which is spot-checked.  A
+    complex symbol with a nonzero imaginary part is rejected.  L and
+    L_* are the Schur multiplier of the symbol, held as its kernel.
     """
-    psi = np.asarray(symbol, dtype=float)
+    psi = np.asarray(symbol)
+    if np.iscomplexobj(psi):
+        if np.any(psi.imag != 0):
+            raise InputError("symbol must be real")
+        psi = psi.real
+    psi = np.asarray(psi, dtype=float)
     if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
         raise InputError(f"symbol must be square, got {psi.shape}")
     d = psi.shape[0]
@@ -226,9 +239,11 @@ def evolve_once(gen: Generator, rho: Density, t: float) -> Density:
         raise InputError("state dimension does not match generator")
     if t < 0:
         raise DomainError(f"semigroup time must be >= 0, got {t}")
-    m = gen.schroedinger.matrix
-    if t * np.abs(m).sum(axis=0).max() <= m.shape[0]:
-        return _evolved_density(rho, expm_action(gen.schroedinger, -t, rho.mat))
+    s = gen.schroedinger
+    # ||L_*||_1, the largest absolute column sum; on a diagonal, max |psi|
+    norm1 = np.abs(s.matrix).sum(axis=0).max() if s.kernel is None else np.abs(s.kernel).max()
+    if t * norm1 <= gen.dim**2:
+        return _evolved_density(rho, expm_action(s, -t, rho.mat))
     return evolve(gen, rho, t)
 
 
@@ -393,7 +408,6 @@ class FixedPointData:
 
     expectation: SuperOperator  # E, Heisenberg picture
     predual: SuperOperator  # E_*, acts on states
-    fixed_basis: tuple  # orthonormal basis (arrays) of the fixed-point space
     phi: Density
 
     def project_state(self, rho: Density) -> Density:
@@ -405,28 +419,42 @@ class FixedPointData:
         return (out + out.conj().T) / 2
 
 
-def _validate_expectation(e_mat: np.ndarray, gen: Generator, phi: Density, tol: float = 1e-9):
+def _validate_expectation(fp: FixedPointData, gen: Generator, tol: float = 1e-9):
+    """Raise NumericalError unless fp is a conditional expectation for gen.
+
+    E must be idempotent, unital and CP and absorb P_0.5 and P_2 on both
+    sides, and E_* must fix phi.  A Schur multiplier E is checked on its
+    kernel: Schur multipliers compose entrywise, and the Choi matrix of
+    x -> K * x has the spectrum of K's Hermitian part plus zeros.
+    """
     d = gen.dim
-    e = SuperOperator(e_mat)
+    e = fp.expectation
+    schur = e.kernel is not None
+    e_mat = e.kernel if schur else e.matrix
+    compose = np.multiply if schur else np.matmul
     scale = max(1.0, np.linalg.norm(e_mat))
-    if np.linalg.norm(e_mat @ e_mat - e_mat) > tol * scale:
+    if np.linalg.norm(compose(e_mat, e_mat) - e_mat) > tol * scale:
         raise NumericalError("fixed-point expectation is not idempotent")
     if np.linalg.norm(e.apply(np.eye(d)) - np.eye(d)) > tol:
         raise NumericalError("fixed-point expectation is not unital")
-    c = choi_matrix(e)
-    lo = float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
+    if schur:
+        lo = min(float(np.linalg.eigvalsh((e_mat + e_mat.conj().T) / 2)[0]), 0.0)
+    else:
+        c = choi_matrix(e)
+        lo = float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
     if lo < -1e-8:
         raise NumericalError(f"fixed-point expectation is not CP: min Choi eig {lo:.3e}")
     for t in (0.5, 2.0):
         # P_t itself, not gen.semigroup(t): nothing else evolves to these times
-        p = expm_superop(gen.heisenberg, -t).matrix
-        if np.linalg.norm(e_mat @ p - e_mat) > 1e-8 * scale or np.linalg.norm(
-            p @ e_mat - e_mat
+        p = expm_superop(gen.heisenberg, -t)
+        p = p.kernel if schur else p.matrix
+        if np.linalg.norm(compose(e_mat, p) - e_mat) > 1e-8 * scale or np.linalg.norm(
+            compose(p, e_mat) - e_mat
         ) > 1e-8 * scale:
             raise NumericalError("expectation does not absorb the semigroup")
     # phi-preservation: tr(phi E(x)) = tr(phi x) for all x, i.e. E_* phi = phi
-    f = vec(phi.mat)
-    if np.linalg.norm(e_mat.conj().T @ f - f) > 1e-8 * max(1.0, np.linalg.norm(f)):
+    f = fp.phi.mat
+    if np.linalg.norm(fp.predual.apply(f) - f) > 1e-8 * max(1.0, np.linalg.norm(f)):
         raise NumericalError("expectation does not preserve the reference state")
 
 
@@ -435,11 +463,13 @@ def fixed_point_expectation(gen: Generator, phi: Density) -> FixedPointData:
 
     phi must be a faithful invariant state.  0 is a semisimple
     eigenvalue of the generator of a QMS, so E is the spectral
-    projection onto ker(L) along ran(L), for every generator: one SVD
-    of L gives ker(L) and ker(L^dag), and E = v (w^dag v)^-1 w^dag
-    (see _spectral_projection_zero).  fixed_basis is the orthonormal
-    v.  E is then checked: idempotent, unital, CP, absorbing P_t on
-    both sides and preserving phi, or NumericalError is raised.  For
+    projection onto ker(L) along ran(L).  For a dense L one SVD gives
+    ker(L) and ker(L^dag), and E = v (w^dag v)^-1 w^dag (see
+    _spectral_projection_zero).  A Schur generator is diagonal, so E =
+    E_* is the Schur multiplier of the 0/1 pattern |psi| <= 1e-10 *
+    max(max |psi|, 1), the cutoff that route puts on the singular
+    values.  E is then checked: idempotent, unital, CP, absorbing P_t
+    on both sides and preserving phi, or NumericalError is raised.  For
     a phi-symmetric semigroup E is orthogonal in <x,y> = tr(phi x^dag y).
 
     Memoized on the generator per exact phi (keyed by its bytes), so
@@ -455,8 +485,7 @@ def fixed_point_expectation(gen: Generator, phi: Density) -> FixedPointData:
 
 
 def _build_fixed_point(gen: Generator, phi: Density) -> FixedPointData:
-    d = gen.dim
-    if phi.dim != d:
+    if phi.dim != gen.dim:
         raise InputError("state dimension does not match generator")
     if not phi.is_faithful():
         raise DomainError("reference state must be faithful")
@@ -464,19 +493,19 @@ def _build_fixed_point(gen: Generator, phi: Density) -> FixedPointData:
     if resid > 1e-8 * max(1.0, np.linalg.norm(phi.mat)):
         raise DomainError(f"reference state is not invariant: ||L_* phi|| = {resid:.3e}")
 
-    e_mat, kern = _spectral_projection_zero(
-        gen.heisenberg.matrix, "generator has no fixed points"
-    )
-    _validate_expectation(e_mat, gen, phi)
-    fixed = tuple(unvec(c, d) for c in kern.T)
-    for f in fixed:  # shared through the memo above
-        f.setflags(write=False)
-    return FixedPointData(
-        expectation=SuperOperator(e_mat),
-        predual=SuperOperator(e_mat.conj().T),
-        fixed_basis=fixed,
-        phi=phi,
-    )
+    heis = gen.heisenberg
+    if heis.kernel is not None:
+        size = np.abs(heis.kernel)
+        pattern = size <= 1e-10 * max(size.max(initial=0.0), 1.0)
+        if not pattern.any():
+            raise NumericalError("generator has no fixed points")
+        e = schur_multiplier_super(pattern)
+    else:
+        e_mat, _ = _spectral_projection_zero(heis.matrix, "generator has no fixed points")
+        e = SuperOperator._owned(e_mat)
+    fp = FixedPointData(expectation=e, predual=e.adjoint(), phi=phi)
+    _validate_expectation(fp, gen)
+    return fp
 
 
 def _weighted_implementation(gen: Generator, phi: Density) -> np.ndarray:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DomainError, InputError
 from .matcore import (
@@ -157,11 +157,42 @@ def _balpha_spectral(
     if not _faithful(dr, support_cutoff):
         return None
     # both matrices come from validated operators, already checked finite
-    w = scipy.linalg.eigh(rho_mat, sigma_mat, eigvals_only=True, check_finite=False)
+    w = _pencil_eigvals(rho_mat, sigma_mat)
     lo, hi = float(w[0]), float(w[-1])
     if lo <= 0.0:
         return None
     return max(hi, 1.0 / lo, 1.0)
+
+
+# The LAPACK routine scipy.linalg.eigh(a, b) calls on complex matrices.
+_HEGVD = get_lapack_funcs("hegvd", dtype=np.complex128)
+
+
+def _pencil_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a x = w b x for Hermitian a and positive definite b.
+
+    scipy.linalg.eigh(a, b, eigvals_only=True) without its wrapper,
+    which costs most of the time at the sizes here: the same zhegvd
+    call, and the LinAlgError scipy raises when it fails.
+    """
+    w, _, info = _HEGVD(a, b, itype=1, jobz="N", uplo="L")
+    if info == 0:
+        return w
+    n = a.shape[0]
+    if info < -1:
+        msg = f"Illegal value in argument {-info} of internal zhegvd"
+    elif info > n:
+        msg = (
+            f"The leading minor of order {info - n} of B is not positive definite. "
+            "The factorization of B could not be completed and no eigenvalues "
+            "or eigenvectors were computed."
+        )
+    else:
+        msg = (
+            f"The algorithm failed to converge; {info} off-diagonal elements "
+            "of an intermediate tridiagonal form did not converge to zero."
+        )
+    raise np.linalg.LinAlgError(msg)
 
 
 @dataclass(frozen=True)
@@ -182,7 +213,7 @@ def sandwich_bound(rho: Density, sigma: Density, alpha: float, tol: float = 1e-9
     """Check alpha^{-1} sigma <= rho <= alpha sigma within tol."""
     if alpha < 1.0:
         raise DomainError(f"alpha must be >= 1, got {alpha}")
-    w = scipy.linalg.eigh(rho.op.mat, sigma.op.mat, eigvals_only=True)
+    w = _pencil_eigvals(rho.op.mat, sigma.op.mat)
     lo, hi = float(w[0]), float(w[-1])
     return SandwichBound(
         alpha=alpha,

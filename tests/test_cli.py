@@ -144,6 +144,8 @@ MLSI_CFG = {
         ("debruijn", {"step": float("inf")}),
         ("debruijn", {"step": 0.0}),
         ("debruijn", {"step": -1e-4}),
+        ("mlsi", {"generator": {"type": "schur", "symbol": [[0, [1, 0.7]], [[1, -0.7], 0]]}}),
+        ("mlsi", {"generator": {"type": "gkls", "jumps": 5}}),
     ],
 )
 def test_exit_code_bad_config_value(tmp_path, capsys, command, patch):

@@ -5,7 +5,7 @@ import scipy.sparse.linalg
 
 from entroflow.errors import DomainError, InputError, NumericalError
 from entroflow.groupsem import build_ball_semigroup
-from entroflow.matcore import trace_norm, unvec
+from entroflow.matcore import trace_norm
 from entroflow.qms import (
     _spectral_projection_zero,
     evolve,
@@ -233,13 +233,6 @@ def weighted_eigh_expectation(gen, phi):
     return ginv @ kern @ kern.conj().T @ g
 
 
-def null_space(m):
-    """Orthonormal null-space basis (columns) from the SVD of m."""
-    _, s, vh = np.linalg.svd(m)
-    k = int((s <= 1e-10 * max(s.max(), 1.0)).sum())
-    return vh[-k:].conj().T
-
-
 def random_gkls(d, seed):
     """Hamiltonian plus two Gaussian jumps: a faithful stationary state that is not 1/d."""
     rng = np.random.default_rng(seed)
@@ -283,17 +276,11 @@ def test_fixed_point_matches_weighted_eigh_on_symmetric_models(name):
     assert np.allclose(fp.expectation.matrix, ref, rtol=0, atol=1e-10)
 
 
-def test_fixed_basis_is_the_svd_null_space_of_the_generator():
-    psi = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    for gen, phi in (
-        (schur_generator(psi), density(np.diag([0.5, 0.3, 0.2]))),
-        (random_unital_gkls(3, 12), density(np.eye(3) / 3)),
-    ):
-        kern = null_space(gen.heisenberg.matrix)
-        fixed = fixed_point_expectation(gen, phi).fixed_basis
-        assert len(fixed) == kern.shape[1]
-        for f, c in zip(fixed, kern.T):
-            assert np.array_equal(f, unvec(c, gen.dim))
+def test_schur_generator_rejects_a_complex_symbol():
+    with pytest.raises(InputError, match="real"):
+        schur_generator(np.array([[0, 1 + 0.7j], [1 - 0.7j, 0]]))
+    gen = schur_generator(np.array([[0, 1 + 0j], [1 + 0j, 0]]))
+    assert np.array_equal(gen.symbol, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_stationary_structure_takes_one_svd(monkeypatch):

@@ -9,6 +9,7 @@ from entroflow.errors import DomainError, InputError
 from entroflow.matcore import op_norm
 from entroflow.statespace import (
     Density,
+    _pencil_eigvals,
     balpha_factor,
     density,
     pinsker_gap,
@@ -216,3 +217,25 @@ def test_rel_entropy_local_continuity():
         pert = density(rho.mat + step * drift)
         c = abs(rel_entropy(pert, sig) - base) / math.sqrt(step)
         assert c < 50.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 17])
+def test_pencil_eigvals_are_scipy_eigh_bit_for_bit(d):
+    # the mlsi sizes of the benchmark workloads; both call LAPACK zhegvd
+    rng = np.random.default_rng(200 + d)
+    for _ in range(4):
+        rho, sigma = random_state(rng, d), random_state(rng, d)
+        assert np.array_equal(
+            _pencil_eigvals(rho.mat, sigma.mat),
+            scipy.linalg.eigh(rho.mat, sigma.mat, eigvals_only=True),
+        )
+
+
+def test_pencil_eigvals_raise_the_scipy_error():
+    a = np.eye(2, dtype=complex)
+    b = np.diag([1.0, -1.0]).astype(complex)  # not positive definite
+    with pytest.raises(np.linalg.LinAlgError) as ours:
+        _pencil_eigvals(a, b)
+    with pytest.raises(np.linalg.LinAlgError) as ref:
+        scipy.linalg.eigh(a, b, eigvals_only=True)
+    assert str(ours.value) == str(ref.value)
