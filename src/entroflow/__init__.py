@@ -34,7 +34,6 @@ from .groupsem import (
 )
 from .qms import (
     evolve,
-    evolve_once,
     fixed_point_expectation,
     gkls_generator,
     gns_symmetry_residual,
@@ -84,7 +83,6 @@ __all__ = [
     "entropy_production",
     "enumerate_ball",
     "evolve",
-    "evolve_once",
     "fixed_point_expectation",
     "fm_check",
     "generator_from_calculus",

@@ -331,11 +331,12 @@ def _run_freegroup(cfg: dict, outdir: pathlib.Path) -> tuple:
     if words is None:
         words = sem.ball.words[1:]
     words = _coerce(lambda ws: [tuple(int(l) for l in w) for w in ws], words, "words")
+    propagators = [(t, sem.gen.semigroup(t)) for t in times]
     eig_resid = 0.0
     for w in words:
         lam = left_regular_observable(sem.ball, w)
-        for t in times:
-            evolved = sem.gen.semigroup(t).apply(lam)
+        for t, p_t in propagators:
+            evolved = p_t.apply(lam)
             eig_resid = max(
                 eig_resid, float(np.max(np.abs(evolved - np.exp(-t * len(w)) * lam)))
             )

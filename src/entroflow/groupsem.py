@@ -150,10 +150,19 @@ def enumerate_ball(kind: str, rank: int, radius: int) -> GroupBall:
         raise InputError(f"rank must be >= 1, got {rank}")
     if radius < 0:
         raise InputError(f"radius must be >= 0, got {radius}")
-    letters = _letters(kind, rank)
+    # the first layer has one word per letter; check it before listing any
+    first = 2 * rank if kind == "free" else rank
+    if radius and 1 + first > BALL_CAP:
+        raise SizeError(
+            f"group ball exceeds the cap of {BALL_CAP} elements "
+            f"({1 + first} within radius 1)"
+        )
+    letters = _letters(kind, rank) if radius else []
     words = [()]
     frontier = [()]
     for _ in range(radius):
+        if not frontier:
+            break  # coxeter rank 1: the ball stops growing at radius 1
         nxt = []
         for w in frontier:
             for l in letters:

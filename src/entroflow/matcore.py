@@ -68,9 +68,6 @@ class HermitianOperator:
             dec = self.__dict__.setdefault("_spectrum", herm_eig(self))
         return dec
 
-    def norm_fro(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 

@@ -19,7 +19,9 @@ exp(-tL) at spot-check times.
 A Schur generator holds only the d x d kernel of its multiplier (see
 matcore.SuperOperator), so its propagators, evolutions and fixed-point
 projections are entrywise; the other variants hold dense d^2 x d^2
-matrices.
+matrices.  A generator keeps nothing else: every propagator and fixed
+point is built when asked for, and a caller that applies one
+propagator to many states holds it itself.
 
 The stationary structure is the spectral projection at 0, a
 semisimple eigenvalue of a QMS generator.  For a dense generator the
@@ -67,11 +69,8 @@ class Generator:
     """
 
     dim: int
-    variant: str
     heisenberg: SuperOperator
     schroedinger: SuperOperator
-    hamiltonian: np.ndarray | None = None
-    jumps: tuple = ()
     symbol: np.ndarray | None = None
 
     def semigroup(self, t: float) -> SuperOperator:
@@ -87,13 +86,8 @@ class Generator:
         return self._propagator("s", self.schroedinger, t)
 
     def _propagator(self, tag: str, gen: SuperOperator, t: float) -> SuperOperator:
-        # memoized per exact time value; sweeps revisit the same grid points
-        cache = self.__dict__.setdefault("_propagators", {})
-        key = (tag, float(t))
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = expm_superop(gen, -t)
-        return hit
+        # tag ("h" or "s") names the picture for perfbench/tracer.py, which wraps this
+        return expm_superop(gen, -t)
 
 
 def _check_unital(l_heis: SuperOperator, dim: int):
@@ -140,14 +134,7 @@ def gkls_generator(hamiltonian=None, jumps=(), dim: int | None = None) -> Genera
         l_s += anti - np.kron(v.conj(), v)
     heis = SuperOperator._owned(l_h)
     _check_unital(heis, d)
-    return Generator(
-        dim=d,
-        variant="gkls",
-        heisenberg=heis,
-        schroedinger=SuperOperator._owned(l_s),
-        hamiltonian=h,
-        jumps=tuple(vs),
-    )
+    return Generator(dim=d, heisenberg=heis, schroedinger=SuperOperator._owned(l_s))
 
 
 def schur_generator(symbol) -> Generator:
@@ -182,13 +169,7 @@ def schur_generator(symbol) -> Generator:
                 f"exp(-t*symbol) is not a PSD kernel at t={t}: min eig {lo:.3e}"
             )
     m = schur_multiplier_super(psi)
-    return Generator(
-        dim=d,
-        variant="schur",
-        heisenberg=m,
-        schroedinger=m,
-        symbol=psi,
-    )
+    return Generator(dim=d, heisenberg=m, schroedinger=m, symbol=psi)
 
 
 def raw_generator(matrix) -> Generator:
@@ -204,36 +185,19 @@ def raw_generator(matrix) -> Generator:
         raise InputError("raw generator does not preserve Hermiticity")
     _check_unital(heis, d)
     _check_cp_semigroup(heis)
-    return Generator(
-        dim=d,
-        variant="raw",
-        heisenberg=heis,
-        schroedinger=heis.adjoint(),
-    )
+    return Generator(dim=d, heisenberg=heis, schroedinger=heis.adjoint())
 
 
 def evolve(gen: Generator, rho: Density, t: float) -> Density:
     """Schroedinger evolution of a state: exp(-t L_*) rho.
 
-    Applies the propagator gen.presemigroup(t), which the generator
-    keeps for the next state evolved to the same time.  Postconditions
-    (see _evolved_density): trace preserved within 1e-10 (relative),
-    output PSD within -1e-9 (slightly negative eigenvalues are clamped
-    and logged).
-    """
-    if rho.dim != gen.dim:
-        raise InputError("state dimension does not match generator")
-    return _evolved_density(rho, gen.presemigroup(t).apply(rho.mat))
-
-
-def evolve_once(gen: Generator, rho: Density, t: float) -> Density:
-    """evolve for a time at which no other state will be evolved.
-
     When t * ||L_*||_1 is at most d^2, the side of L_*, it applies the
-    exponential to rho alone (expm_action) and builds and keeps no
-    propagator; a longer time, where one scaling-and-squaring
-    exponential is cheaper than the series on the vector, goes to
-    evolve.  Either way the result passes evolve's postconditions.
+    exponential to rho alone (expm_action); a longer time, where one
+    scaling-and-squaring exponential is cheaper than the series on the
+    vector, applies the propagator gen.presemigroup(t).  Neither is
+    kept.  Postconditions (see _evolved_density): trace preserved
+    within 1e-10 (relative), output PSD within -1e-9 (slightly negative
+    eigenvalues are clamped and logged).
     """
     if rho.dim != gen.dim:
         raise InputError("state dimension does not match generator")
@@ -244,7 +208,7 @@ def evolve_once(gen: Generator, rho: Density, t: float) -> Density:
     norm1 = np.abs(s.matrix).sum(axis=0).max() if s.kernel is None else np.abs(s.kernel).max()
     if t * norm1 <= gen.dim**2:
         return _evolved_density(rho, expm_action(s, -t, rho.mat))
-    return evolve(gen, rho, t)
+    return _evolved_density(rho, gen.presemigroup(t).apply(rho.mat))
 
 
 def _evolved_density(rho: Density, out: np.ndarray) -> Density:
@@ -445,7 +409,6 @@ def _validate_expectation(fp: FixedPointData, gen: Generator, tol: float = 1e-9)
     if lo < -1e-8:
         raise NumericalError(f"fixed-point expectation is not CP: min Choi eig {lo:.3e}")
     for t in (0.5, 2.0):
-        # P_t itself, not gen.semigroup(t): nothing else evolves to these times
         p = expm_superop(gen.heisenberg, -t)
         p = p.kernel if schur else p.matrix
         if np.linalg.norm(compose(e_mat, p) - e_mat) > 1e-8 * scale or np.linalg.norm(
@@ -471,20 +434,8 @@ def fixed_point_expectation(gen: Generator, phi: Density) -> FixedPointData:
     values.  E is then checked: idempotent, unital, CP, absorbing P_t
     on both sides and preserving phi, or NumericalError is raised.  For
     a phi-symmetric semigroup E is orthogonal in <x,y> = tr(phi x^dag y).
-
-    Memoized on the generator per exact phi (keyed by its bytes), so
-    per-state checks against one reference build E, and run its
-    checks, once.
+    E is built, and checked, on every call.
     """
-    cache = gen.__dict__.setdefault("_fixed_points", {})
-    key = phi.mat.tobytes()
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = _build_fixed_point(gen, phi)
-    return hit
-
-
-def _build_fixed_point(gen: Generator, phi: Density) -> FixedPointData:
     if phi.dim != gen.dim:
         raise InputError("state dimension does not match generator")
     if not phi.is_faithful():

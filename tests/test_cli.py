@@ -1,10 +1,17 @@
 """End-to-end CLI runs: reports, exit codes, determinism."""
 
+import copy
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import entroflow
 from entroflow import cli, entropyflow
 from entroflow.cli import main
 from entroflow.errors import NumericalError
@@ -95,6 +102,29 @@ def test_exit_code_size_error(tmp_path):
         ["freegroup", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path)]
     )
     assert code == 4
+
+
+def test_huge_rank_exits_4_before_listing_letters(tmp_path):
+    """free rank 10**9 is refused on its first layer, before 2 * 10**9 letters are listed.
+
+    The CLI runs in a child process capped at 1 GiB of address space, so a
+    regression ends there in a MemoryError instead of exhausting memory.
+    """
+    path = write_config(tmp_path / "c.json", {"kind": "free", "rank": 10**9, "radius": 2})
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "entroflow.cli", "freegroup", "--config", path, "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(entroflow.__file__).parents[1])},
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "exceeds the cap" in proc.stderr
 
 
 MLSI_CFG = {
@@ -300,3 +330,77 @@ def test_seed_flag_overrides_config(tmp_path):
     rc = (tmp_path / "c" / "report.json").read_bytes()
     assert rb == rc
     assert (tmp_path / "a" / "report.json").read_bytes() != rb
+
+
+# One small valid config per suite; every leaf of it is mutated in turn.
+MUTATION_BASES = {
+    "mlsi": {**MLSI_CFG, "seed": 0},
+    "debruijn": {
+        "generator": {"type": "schur", "symbol": [[0.0, 1.0], [1.0, 0.0]]},
+        "state": [[0.7, 0.2], [0.2, 0.3]],
+        "reference": [[0.5, 0.0], [0.0, 0.5]],
+        "t_grid": {"start": 0.1, "stop": 1.0, "count": 3},
+        "step": 1e-4,
+        "seed": 0,
+    },
+    "freegroup": {
+        "kind": "coxeter",
+        "rank": 2,
+        "radius": 2,
+        "times": [0.3, 1.0],
+        "words": [[1], [2, 1]],
+        "seed": 0,
+    },
+    "intertwine": {
+        "kind": "free",
+        "rank": 1,
+        "radius": 2,
+        "times": [0.25, 1.0],
+        "tolerances": {"dominance_floor": 1e-9},
+    },
+    "subalg": {
+        "blocks": [1, 1],
+        "state": [[0.6, 0.1], [0.1, 0.4]],
+        "sigma": [[0.5, 0.0], [0.0, 0.5]],
+        "filtration": [[1, 1], [2]],
+        "generator": {"type": "schur", "symbol": [[0.0, 1.0], [1.0, 0.0]]},
+        "resolvent_order": 4,
+    },
+}
+
+MUTANTS = (None, "x", -1, 0, float("nan"), [], {}, [1], [[1]], [["a"]], True, 3.5, {"matrix": 3})
+
+
+def config_leaves(node, path=()):
+    """Paths to every non-container value of a JSON tree, in document order."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in items:
+        yield from config_leaves(child, path + (key,))
+
+
+@pytest.mark.parametrize("command", sorted(MUTATION_BASES))
+def test_mutated_configs_exit_with_a_contract_code(tmp_path, capsys, command):
+    """Any value at any leaf of a valid config ends in exit 0..5, never a traceback."""
+    base = MUTATION_BASES[command]
+    assert main([command, "--config", write_config(tmp_path / "c.json", base), "--out", str(tmp_path / "o")]) == 0
+    bad = []
+    for path in config_leaves(base):
+        for value in MUTANTS:
+            cfg = copy.deepcopy(base)
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = copy.deepcopy(value)
+            try:
+                code = main([command, "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
+            except Exception as exc:  # a raise is the failure recorded
+                code = exc
+            if not (type(code) is int and 0 <= code <= 5) or "Traceback" in capsys.readouterr().err:
+                bad.append((path, value, code))
+    assert bad == []

@@ -138,36 +138,20 @@ def random_state(d, seed):
     return density(m / np.trace(m).real)
 
 
-def counted_expm(monkeypatch):
-    calls = []
-    expm = scipy.linalg.expm
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return expm(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
-    return calls
-
-
-def test_debruijn_run_builds_no_propagator(monkeypatch):
-    calls = counted_expm(monkeypatch)
+def test_debruijn_run_builds_no_propagator(expm_calls):
     gen = random_unital_gkls(8, 23)
     ts = np.linspace(0.05, 1.0, 4)
     m = gen.schroedinger.matrix
     assert (ts[-1] + 1e-4) * np.abs(m).sum(axis=0).max() <= 64  # the action side
     rec = trajectory(gen, random_state(8, 24), density(np.eye(8) / 8), ts)
     debruijn_residual(rec, h=1e-4)
-    assert calls == []
-    assert gen.__dict__.get("_propagators", {}) == {}
+    assert expm_calls == []
 
 
-def test_long_trajectory_node_takes_the_propagator(monkeypatch):
-    calls = counted_expm(monkeypatch)
+def test_long_trajectory_node_takes_the_propagator(expm_calls):
     gen = depolarizing(2)
     rec = trajectory(gen, bloch_diag(0.5), MAX_MIX_2, [0.5, 1e4])
-    assert calls == [(4, 4)]
-    assert list(gen._propagators) == [("s", 1e4)]
+    assert expm_calls == [(4, 4)]
     assert rec.entropies[1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -254,6 +238,17 @@ def test_decay_certificate_depolarizing():
     assert good.worst_margin >= 0.0
     bad = decay_certificate(gen, MAX_MIX_2, beta=3.0, samples=samples)
     assert not bad.passed
+
+
+def test_decay_certificate_exponentiates_once_per_grid_time(expm_calls):
+    gen = depolarizing(2)
+    fixed_point_expectation(gen, MAX_MIX_2)
+    checks = len(expm_calls)  # the fixed point's absorption checks, rebuilt by the certificate
+    expm_calls.clear()
+    samples = state_samples(2, MAX_MIX_2, SamplerConfig(count=5), seed=4)
+    rep = decay_certificate(gen, MAX_MIX_2, beta=2.0, samples=samples)
+    assert all(math.isfinite(row["margin"]) for row in rep.per_state)
+    assert expm_calls == [(4, 4)] * (checks + 10)  # the default grid has 10 times
 
 
 def test_decay_certificate_skips_converged_sample():

@@ -5,6 +5,7 @@ import pytest
 
 from entroflow.errors import InputError, SizeError
 from entroflow.groupsem import (
+    BALL_CAP,
     ball_calculus,
     build_ball_semigroup,
     enumerate_ball,
@@ -64,6 +65,15 @@ def test_ball_cap_raises():
         enumerate_ball("free", 2, 4)
     with pytest.raises(SizeError):
         enumerate_ball("coxeter", 3, 5)
+    # the first layer alone: refused before its letters are listed
+    with pytest.raises(SizeError, match=f"{BALL_CAP + 1} within radius 1"):
+        enumerate_ball("coxeter", BALL_CAP, 1)
+    assert enumerate_ball("coxeter", BALL_CAP - 1, 1).size == BALL_CAP
+
+
+def test_coxeter_rank_one_ball_stops_growing():
+    ball = enumerate_ball("coxeter", 1, 10**12)  # returns at once: the frontier empties
+    assert ball.words == ((), (1,))
 
 
 def test_bad_inputs():

@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from entroflow.entropyflow import decay_certificate
 from entroflow.errors import DomainError, InputError, NumericalError
 from entroflow.groupsem import build_ball_semigroup
 from entroflow.matcore import trace_norm
 from entroflow.qms import (
+    _evolved_density,
     _spectral_projection_zero,
     evolve,
-    evolve_once,
     fixed_point_expectation,
     gkls_generator,
     gns_symmetry_residual,
@@ -299,22 +302,23 @@ def test_stationary_structure_takes_one_svd(monkeypatch):
     invariant_states(gen)
     assert calls == [(9, 9)]
 
-    gen, phi = depolarizing(3), density(np.eye(3) / 3)
-    spectral_gap(gen, phi)
-    assert gen.__dict__.get("_propagators", {}) == {}
-
 
 @pytest.mark.parametrize(
     "make",
     [lambda: random_gkls(3, 14), lambda: build_ball_semigroup("coxeter", 2, 2).gen],
     ids=["gkls-d3", "schur-ball-coxeter-2-2"],
 )
-def test_fixed_point_expectation_keeps_no_propagator(make):
-    # its absorption check exponentiates L at two times no caller reuses
+def test_generator_keeps_nothing_but_its_fields(make):
     gen = make()
+    fields = {f.name for f in dataclasses.fields(gen)}
     phi = invariant_states(gen).faithful_state
+    rho = random_state(gen.dim, 3)
+    gen.semigroup(0.4)
+    evolve(gen, rho, 0.4)
+    evolve(gen, rho, 1.1 * action_limit(gen))
     fixed_point_expectation(gen, phi)
-    assert gen.__dict__.get("_propagators", {}) == {}
+    decay_certificate(gen, phi, 0.1, [rho], t_grid=[0.2, 0.4])
+    assert set(vars(gen)) == fields
 
 
 def test_spectral_projection_zero_rejects_defective_and_empty_kernels():
@@ -364,57 +368,61 @@ def random_state(d, seed):
 
 
 def action_limit(gen):
-    """The time up to which evolve_once applies the exponential to the state alone."""
+    """The time up to which evolve applies the exponential to the state alone."""
     m = gen.schroedinger.matrix
     return m.shape[0] / np.abs(m).sum(axis=0).max()
 
 
-EVOLVE_ONCE_MODELS = {
+EVOLVE_MODELS = {
     **{f"unital-gkls-d{d}": (lambda d=d: random_unital_gkls(d, 40 + d)) for d in (2, 4, 8, 16)},
     "gkls-d3": lambda: random_gkls(3, 14),
     "schur-ball-coxeter-2-2": lambda: build_ball_semigroup("coxeter", 2, 2).gen,
 }
 
 
-@pytest.mark.parametrize("name", sorted(EVOLVE_ONCE_MODELS))
-def test_evolve_once_matches_evolve(name):
-    """Differential test of the action route against the cached-propagator route.
+def propagated(gen, rho, t):
+    """exp(-t L_*) rho through the propagator, after evolve's postconditions."""
+    return _evolved_density(rho, gen.presemigroup(t).apply(rho.mat))
+
+
+@pytest.mark.parametrize("name", sorted(EVOLVE_MODELS))
+def test_evolve_action_route_matches_the_propagator(name, expm_calls):
+    """Seeded differential test of evolve's action route against the propagator.
 
     Below the limit the two routes sum exp(-t L_*) rho in different orders;
     both are accurate to rounding, and the states (trace one) must agree
-    entrywise within 1e-13.  Above it evolve_once is evolve, bit for bit.
+    entrywise within 1e-13.  Above it evolve applies the propagator, bit for
+    bit, and only there exponentiates a dense L_* in full.
     """
-    gen = EVOLVE_ONCE_MODELS[name]()
+    gen = EVOLVE_MODELS[name]()
+    dense = gen.schroedinger.kernel is None
     rho = random_state(gen.dim, gen.dim)
     limit = action_limit(gen)
     for t in (0.0, 0.9 * limit):
-        once = evolve_once(gen, rho, t)
-        assert gen.__dict__.get("_propagators", {}) == {}
-        assert np.abs(once.mat - evolve(gen, rho, t).mat).max() <= 1e-13
-        gen.__dict__["_propagators"].clear()
-    once = evolve_once(gen, rho, 1.1 * limit)
-    assert list(gen._propagators) == [("s", 1.1 * limit)]
-    assert np.array_equal(once.mat, evolve(gen, rho, 1.1 * limit).mat)
+        out = evolve(gen, rho, t)
+        assert expm_calls == []
+        assert np.abs(out.mat - propagated(gen, rho, t).mat).max() <= 1e-13
+        expm_calls.clear()
+    out = evolve(gen, rho, 1.1 * limit)
+    assert len(expm_calls) == dense
+    assert np.array_equal(out.mat, propagated(gen, rho, 1.1 * limit).mat)
 
 
-def test_evolve_once_takes_a_schur_generator_entrywise(monkeypatch):
-    """Below the limit a diagonal L_* is exponentiated entrywise, as evolve does."""
+def test_evolve_takes_a_schur_generator_entrywise(monkeypatch):
+    """Below the limit a diagonal L_* is exponentiated entrywise, as the propagator is."""
     calls = []
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda *a, **k: calls.append(a))
     gen = build_ball_semigroup("free", 2, 2).gen
     rho = random_state(gen.dim, 5)
     assert action_limit(gen) > 71.5
     for t in (36.0, 71.5):
-        once = evolve_once(gen, rho, t)
-        assert gen.__dict__.get("_propagators", {}) == {}
-        assert np.array_equal(once.mat, evolve(gen, rho, t).mat)
-        gen.__dict__["_propagators"].clear()
+        assert np.array_equal(evolve(gen, rho, t).mat, propagated(gen, rho, t).mat)
     assert calls == []
 
 
-def test_evolve_once_checks_time_and_dimension():
+def test_evolve_checks_time_and_dimension():
     gen = depolarizing(2)
     with pytest.raises(DomainError):
-        evolve_once(gen, random_state(2, 1), -0.1)
+        evolve(gen, random_state(2, 1), -0.1)
     with pytest.raises(InputError):
-        evolve_once(gen, random_state(3, 1), 0.1)
+        evolve(gen, random_state(3, 1), 0.1)
