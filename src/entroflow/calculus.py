@@ -98,7 +98,7 @@ def derivation_apply(calc: DiffCalculus, i: int, x: np.ndarray) -> np.ndarray:
     return calc.difference(i) * x
 
 
-def dirichlet_energy(calc: DiffCalculus, x: np.ndarray, weights=None) -> float:
+def dirichlet_energy(calc: DiffCalculus, x: np.ndarray) -> float:
     """sum_i tr(x^dag delta_i^dag delta_i x) / d, the trace Dirichlet form.
 
     Equals tr(x^dag L(x)) / d for the Schur generator of the symbol.
@@ -107,8 +107,7 @@ def dirichlet_energy(calc: DiffCalculus, x: np.ndarray, weights=None) -> float:
     total = 0.0
     for i in range(calc.count):
         dx = derivation_apply(calc, i, x)
-        w = 1.0 if weights is None else float(weights[i])
-        total += w * float(np.real(np.trace(dx.conj().T @ dx)))
+        total += float(np.real(np.trace(dx.conj().T @ dx)))
     return total / d
 
 
@@ -224,11 +223,9 @@ def cp_dominance_check(calc: DiffCalculus, flips, t: float, side: str = "left"):
     return worst
 
 
-def cp_dominance_report(
-    calc: DiffCalculus, flips, times=(0.25, 1.0), tol: float = 1e-9
-) -> CpDominanceReport:
+def cp_dominance_report(calc: DiffCalculus, flips, times=(0.25, 1.0)) -> CpDominanceReport:
     """Sweep times and both module actions; passed iff no block dips
-    below -tol."""
+    below -1e-9."""
     flips = _check_flips(calc, flips)
     times = _check_times(times)
     best = (np.inf, 0.0, -1, "left")
@@ -244,7 +241,7 @@ def cp_dominance_report(
         worst_time=best[1],
         worst_row=best[2],
         worst_side=best[3],
-        passed=best[0] >= -tol,
+        passed=best[0] >= -1e-9,
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import time
@@ -33,6 +34,7 @@ from .calculus import (
     intertwining_residual,
 )
 from .entropyflow import (
+    SIZE_BUDGET,
     SamplerConfig,
     debruijn_residual,
     decay_certificate,
@@ -179,6 +181,8 @@ def _parse_grid(obj) -> np.ndarray:
             raise InputError(
                 f"t_grid needs finite start and stop and count >= 1, got {start}, {stop}, {count}"
             )
+        if count > SIZE_BUDGET:
+            raise SizeError(f"t_grid count {count} exceeds the cap of {SIZE_BUDGET}")
         grid = np.linspace(start, stop, count)
     else:
         raise InputError("t_grid must be a list or a start/stop/count object")
@@ -200,11 +204,32 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _tol(cfg: dict, name: str, default: float) -> float:
+# The tolerance names each suite reads, with their defaults: the one home
+# of every threshold that a config's "tolerances" entry may override.
+_TOLERANCES = {
+    "debruijn": {"debruijn_residual": 1e-6, "production_floor": 1e-10},
+    "mlsi": {"beta_floor": 1e-6, "fit_ratio_band": 1.5},
+    "freegroup": {"eigenvalue_residual": 1e-12, "kernel_floor": 1e-12, "invariance_residual": 1e-12},
+    "intertwine": {"intertwining_residual": 1e-10, "dominance_floor": 1e-9, "repeat_failure_margin": 1e-4},
+    "subalg": {"extension_residual": 1e-9, "projection_residual": 1e-10, "martingale_violation": 1e-10,
+               "resolvent_shrink": 0.5},
+}
+
+
+def _tolerances(cfg: dict, command: str) -> dict:
+    """The command's tolerance table with the config's finite overrides applied."""
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
         raise InputError("tolerances must be an object")
-    return _coerce(float, tols.get(name, default), f"tolerance {name}")
+    out = dict(_TOLERANCES[command])
+    for name, raw in tols.items():
+        if name not in out:
+            raise InputError(f"{command} reads no tolerance {name!r}; it reads {sorted(out)}")
+        value = _coerce(float, raw, f"tolerance {name}")
+        if not math.isfinite(value):
+            raise InputError(f"tolerance {name} must be finite, got {value}")
+        out[name] = value
+    return out
 
 
 def _sampler(cfg: dict) -> SamplerConfig:
@@ -226,7 +251,7 @@ def _check(name: str, value: float, tolerance: float, passed: bool) -> dict:
 # ---------------------------------------------------------------- subcommands
 
 
-def _run_debruijn(cfg: dict, outdir: pathlib.Path) -> tuple:
+def _run_debruijn(cfg: dict, tol: dict, outdir: pathlib.Path) -> tuple:
     gen = _parse_generator(cfg["generator"])
     rho0 = _parse_density(cfg["state"], "state")
     sigma = _parse_density(cfg["reference"], "reference")
@@ -237,22 +262,14 @@ def _run_debruijn(cfg: dict, outdir: pathlib.Path) -> tuple:
     rec = trajectory(gen, rho0, sigma, grid)
     resid = debruijn_residual(rec, h=step)
 
-    tol_resid = _tol(cfg, "debruijn_residual", 1e-6)
-    tol_prod = _tol(cfg, "production_floor", 1e-10)
+    tol_resid = tol["debruijn_residual"]
+    tol_prod = tol["production_floor"]
+    prod_min = float(rec.productions.min())
+    rise = float(np.diff(rec.entropies).max()) if len(rec.entropies) > 1 else 0.0
     checks = [
         _check("debruijn_residual", resid, tol_resid, resid <= tol_resid),
-        _check(
-            "production_nonnegative",
-            float(rec.productions.min()),
-            tol_prod,
-            bool(rec.productions.min() >= -tol_prod),
-        ),
-        _check(
-            "entropy_decreasing",
-            float(np.diff(rec.entropies).max()) if len(rec.entropies) > 1 else 0.0,
-            tol_prod,
-            bool(len(rec.entropies) < 2 or np.diff(rec.entropies).max() <= tol_prod),
-        ),
+        _check("production_nonnegative", prod_min, tol_prod, prod_min >= -tol_prod),
+        _check("entropy_decreasing", rise, tol_prod, len(rec.entropies) < 2 or rise <= tol_prod),
     ]
     lines = ["t,D,I,alpha"]
     for k in range(rec.times.size):
@@ -275,7 +292,7 @@ def _run_debruijn(cfg: dict, outdir: pathlib.Path) -> tuple:
     return checks, payload
 
 
-def _run_mlsi(cfg: dict, outdir: pathlib.Path) -> tuple:
+def _run_mlsi(cfg: dict, tol: dict, outdir: pathlib.Path) -> tuple:
     gen = _parse_generator(cfg["generator"])
     phi = _parse_density(cfg["phi"], "phi")
     sampler = _sampler(cfg)
@@ -290,8 +307,8 @@ def _run_mlsi(cfg: dict, outdir: pathlib.Path) -> tuple:
     )
     decay = decay_certificate(gen, phi, beta=rep.beta_ratio, samples=rep.samples)
 
-    tol_beta = _tol(cfg, "beta_floor", 1e-6)
-    fit_band = _tol(cfg, "fit_ratio_band", 1.5)
+    tol_beta = tol["beta_floor"]
+    fit_band = tol["fit_ratio_band"]
     ratio = rep.beta_fit / rep.beta_ratio if rep.beta_ratio > 0 else np.inf
     checks = [
         _check("beta_positive", rep.beta_ratio, tol_beta, rep.beta_ratio > tol_beta),
@@ -320,7 +337,7 @@ def _run_mlsi(cfg: dict, outdir: pathlib.Path) -> tuple:
     return checks, payload
 
 
-def _run_freegroup(cfg: dict, outdir: pathlib.Path) -> tuple:
+def _run_freegroup(cfg: dict, tol: dict, outdir: pathlib.Path) -> tuple:
     kind = cfg.get("kind", "free")
     rank = _coerce(int, cfg.get("rank", 2), "rank")
     radius = _coerce(int, cfg.get("radius", 2), "radius")
@@ -345,9 +362,9 @@ def _run_freegroup(cfg: dict, outdir: pathlib.Path) -> tuple:
     )
     inv_resid = float(np.linalg.norm(sem.gen.schroedinger.apply(sem.phi.mat)))
 
-    tol_eig = _tol(cfg, "eigenvalue_residual", 1e-12)
-    tol_psd = _tol(cfg, "kernel_floor", 1e-12)
-    tol_inv = _tol(cfg, "invariance_residual", 1e-12)
+    tol_eig = tol["eigenvalue_residual"]
+    tol_psd = tol["kernel_floor"]
+    tol_inv = tol["invariance_residual"]
     checks = [
         _check("eigenvalue_relation", eig_resid, tol_eig, eig_resid <= tol_eig),
         _check("kernel_psd", kernel_min, tol_psd, kernel_min >= -tol_psd),
@@ -363,7 +380,7 @@ def _run_freegroup(cfg: dict, outdir: pathlib.Path) -> tuple:
     return checks, payload
 
 
-def _run_intertwine(cfg: dict, outdir: pathlib.Path) -> tuple:
+def _run_intertwine(cfg: dict, tol: dict, outdir: pathlib.Path) -> tuple:
     kind = cfg.get("kind", "free")
     rank = _coerce(int, cfg.get("rank", 1), "rank")
     radius = _coerce(int, cfg.get("radius", 2), "radius")
@@ -382,9 +399,9 @@ def _run_intertwine(cfg: dict, outdir: pathlib.Path) -> tuple:
     )
     repeated = cp_dominance_report(calc, (0, 0), times=times).min_eig
 
-    tol_resid = _tol(cfg, "intertwining_residual", 1e-10)
-    tol_dom = _tol(cfg, "dominance_floor", 1e-9)
-    fail_margin = _tol(cfg, "repeat_failure_margin", 1e-4)
+    tol_resid = tol["intertwining_residual"]
+    tol_dom = tol["dominance_floor"]
+    fail_margin = tol["repeat_failure_margin"]
     checks = [
         _check("intertwining_residual", resid, tol_resid, resid <= tol_resid),
         _check("single_flip_dominated", single_min, tol_dom, single_min >= -tol_dom),
@@ -404,7 +421,7 @@ def _run_intertwine(cfg: dict, outdir: pathlib.Path) -> tuple:
     return checks, payload
 
 
-def _run_subalg(cfg: dict, outdir: pathlib.Path) -> tuple:
+def _run_subalg(cfg: dict, tol: dict, outdir: pathlib.Path) -> tuple:
     spec = subalgebra(
         cfg["blocks"],
         unitary=_parse_matrix(cfg["unitary"], "unitary") if cfg.get("unitary") else None,
@@ -422,14 +439,14 @@ def _run_subalg(cfg: dict, outdir: pathlib.Path) -> tuple:
         [subalgebra(b, unitary=spec.unitary) for b in filtration], rho, sigma
     )
 
-    tol_ext = _tol(cfg, "extension_residual", 1e-9)
-    tol_proj = _tol(cfg, "projection_residual", 1e-10)
-    tol_mono = _tol(cfg, "martingale_violation", 1e-10)
+    tol_ext = tol["extension_residual"]
+    tol_proj = tol["projection_residual"]
+    tol_mono = tol["martingale_violation"]
     checks = [
-        _check("extension_entropy", ext.residual, tol_ext, ext.ok),
+        _check("extension_entropy", ext.residual, tol_ext, ext.residual <= tol_ext),
         _check("projection_orthogonality", proj.orthogonality, tol_proj, proj.orthogonality <= tol_proj),
         _check("projection_chain_rule", proj.chain_residual, tol_proj, proj.chain_residual <= tol_proj),
-        _check("martingale_monotone", mart.max_violation, tol_mono, mart.monotone),
+        _check("martingale_monotone", mart.max_violation, tol_mono, mart.max_violation <= tol_mono),
     ]
     payload = {
         "blockwise_entropy": ext.blockwise,
@@ -442,7 +459,7 @@ def _run_subalg(cfg: dict, outdir: pathlib.Path) -> tuple:
         n = _coerce(int, cfg.get("resolvent_order", 10), "resolvent_order")
         lo = chain_rule_check(gen, rho, n=n)
         hi = chain_rule_check(gen, rho, n=4 * n)
-        shrink = _tol(cfg, "resolvent_shrink", 0.5)
+        shrink = tol["resolvent_shrink"]
         improved = abs(hi.residual) <= max(shrink * abs(lo.residual), 1e-9)
         checks.append(_check("resolvent_defect_decays", abs(hi.residual), shrink, improved))
         payload["resolvent_defect"] = {"n": n, "defect": lo.residual, "defect_4n": hi.residual}
@@ -478,9 +495,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         seed = _coerce(int, cfg.get("seed", 0), "seed")
+        tol = _tolerances(cfg, args.command)
         outdir = pathlib.Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        checks, payload = _COMMANDS[args.command](cfg, outdir)
+        checks, payload = _COMMANDS[args.command](cfg, tol, outdir)
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

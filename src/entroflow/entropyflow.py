@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .errors import DegenerateInputError, DomainError, InputError
+from .errors import DegenerateInputError, DomainError, InputError, SizeError
+from .groupsem import BALL_CAP
 from .matcore import (
-    SUPPORT_CUTOFF,
     SpectralDecomposition,
     _clamp_spectrum,
     _frobenius,
@@ -51,6 +51,10 @@ from .statespace import (
 
 # relative entropies below this floor are treated as "already converged"
 ENTROPY_FLOOR = 1e-10
+
+# Most numbers a requested sample or grid may hold: BALL_CAP^4, the entries
+# of the largest dense superoperator the ball cap admits.
+SIZE_BUDGET = BALL_CAP**4
 
 
 def entropy_production(gen: Generator, rho: Density, sigma: Density) -> float:
@@ -76,7 +80,7 @@ def _production(
     resid = _frobenius(gen.schroedinger.apply(sigma_mat))
     if resid > 1e-9 * max(1.0, _frobenius(sigma_mat)):
         raise DomainError(f"reference state is not invariant: ||L_* sigma|| = {resid:.3e}")
-    alpha = _balpha_spectral(rho_mat, dr, sigma_mat, ds, SUPPORT_CUTOFF)
+    alpha = _balpha_spectral(rho_mat, dr, sigma_mat, ds)
     if alpha is None:
         raise DomainError("state is not comparable to the reference (singular direction)")
     # a finite alpha means both states are faithful
@@ -192,12 +196,17 @@ def state_samples(dim: int, phi: Density, config: SamplerConfig, seed: int) -> l
 
     Every sample is blended with the faithful reference, which keeps
     balpha_factor finite; the per-index streams make the list
-    independent of how it is later consumed.
+    independent of how it is later consumed.  A sample of more than
+    SIZE_BUDGET matrix entries raises SizeError before anything is drawn.
     """
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     if config.count < 1:
         raise InputError("sampler count must be positive")
+    if config.count * dim * dim > SIZE_BUDGET:
+        raise SizeError(
+            f"sample exceeds the cap of {SIZE_BUDGET} entries: {config.count} x {dim}^2"
+        )
     if not config.blend_epsilons:
         raise InputError("sampler needs at least one blend epsilon")
     for eps in config.blend_epsilons:
@@ -246,12 +255,12 @@ def _ratio(gen: Generator, fp: FixedPointData, mat: np.ndarray):
     sig = _hermitian_part(fp.project_matrix(rho))
     dr, ds = herm_eig_batch(rho, sig)
     rho_trace = _density_trace(dr, rho)
-    clamped = _clamp_spectrum(ds, sig, 1e-9, "projected state")
+    clamped = _clamp_spectrum(ds, sig, "projected state")
     if clamped is not sig:
         sig = _hermitian_part(clamped)
         (ds,) = herm_eig_batch(sig)
     _density_trace(ds, sig)
-    d = _rel_entropy_spectral(dr, rho_trace, ds, SUPPORT_CUTOFF)
+    d = _rel_entropy_spectral(dr, rho_trace, ds)
     if not math.isfinite(d) or d < ENTROPY_FLOOR:
         return None, d
     return _production(gen, rho, dr, sig, ds) / d, d
@@ -406,18 +415,13 @@ class DecayReport:
     """Result of checking D(rho_t) <= e^{-beta t} D(rho_0) over samples."""
 
     beta: float
-    worst_margin: float  # min over samples/times of e^{-beta t} D0 - D(t) + slack
+    worst_margin: float  # min over samples/times of e^{-beta t} D0 - D(t) + 1e-8 (1 + D0)
     passed: bool
     per_state: tuple
 
 
 def decay_certificate(
-    gen: Generator,
-    phi: Density,
-    beta: float,
-    samples,
-    t_grid=None,
-    slack: float = 1e-8,
+    gen: Generator, phi: Density, beta: float, samples, t_grid=None
 ) -> DecayReport:
     """Check exponential entropy decay at rate beta across sampled states.
 
@@ -440,7 +444,7 @@ def decay_certificate(
         prop = gen.presemigroup(float(t))
         for row, rho, sig, d0 in live:
             dt = rel_entropy(_evolved_density(rho, prop.apply(rho.mat)), sig)
-            row["margin"] = min(row["margin"], math.exp(-beta * t) * d0 - dt + slack * (1.0 + d0))
+            row["margin"] = min(row["margin"], math.exp(-beta * t) * d0 - dt + 1e-8 * (1.0 + d0))
     worst = math.inf
     for row, _, _, _ in live:
         worst = min(worst, row["margin"])

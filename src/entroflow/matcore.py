@@ -8,7 +8,7 @@ Conventions used throughout the package:
 - Hermitian inputs are symmetrized at construction, (A + A^dag)/2,
   rather than rejected for roundoff-level asymmetry.
 - Spectral support is decided relative to the largest eigenvalue:
-  eigenvalues below support_cutoff * max_eig count as zero.
+  eigenvalues below SUPPORT_CUTOFF * max_eig count as zero.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import InputError, NumericalError
 
 logger = logging.getLogger(__name__)
 
-# Default relative threshold separating numerical kernel from support.
+# Relative threshold separating numerical kernel from support.
 SUPPORT_CUTOFF = 1e-12
 
 # Construction rejects inputs whose asymmetry exceeds this (relative Frobenius).
@@ -145,18 +145,18 @@ def herm_eig_batch(*mats: np.ndarray) -> tuple:
     return tuple(decs)
 
 
-def mat_fn(a, f, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def mat_fn(a, f) -> np.ndarray:
     """Apply a scalar function to a PSD matrix through its eigenvalues.
 
-    Eigenvalues below support_cutoff * max_eig are treated as exact
+    Eigenvalues below SUPPORT_CUTOFF * max_eig are treated as exact
     zeros and mapped to 0 in the output (the function is never called
     on them), so f = log and f = inverse powers are safe on singular
     PSD inputs.  A min eigenvalue below -1e-8 * max_eig is rejected.
     """
-    return _spectral_fn(as_herm(a).spectrum, f, support_cutoff)
+    return _spectral_fn(as_herm(a).spectrum, f)
 
 
-def _spectral_fn(dec: SpectralDecomposition, f, support_cutoff: float) -> np.ndarray:
+def _spectral_fn(dec: SpectralDecomposition, f) -> np.ndarray:
     """mat_fn of the PSD matrix whose decomposition is dec."""
     w = dec.eigenvalues  # ascending
     top = max(float(w[-1]), 0.0)
@@ -168,19 +168,19 @@ def _spectral_fn(dec: SpectralDecomposition, f, support_cutoff: float) -> np.nda
         raise InputError(
             f"matrix is not PSD: min eigenvalue {w[0]:.3e} vs max {top:.3e}"
         )
-    cut = support_cutoff * top
+    cut = SUPPORT_CUTOFF * top
     fw = np.zeros_like(w)
     on = w > cut
     fw[on] = [float(f(x)) for x in w[on]]
     return (dec.eigenvectors * fw) @ dec.eigenvectors.conj().T
 
 
-def support_projector(a, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def support_projector(a) -> np.ndarray:
     """Orthogonal projection onto the numerical range of a PSD matrix."""
     dec = as_herm(a).spectrum
     w = dec.eigenvalues
     top = float(w.max(initial=0.0))
-    on = w > support_cutoff * top if top > 0 else np.zeros_like(w, dtype=bool)
+    on = w > SUPPORT_CUTOFF * top if top > 0 else np.zeros_like(w, dtype=bool)
     v = dec.eigenvectors[:, on]
     return v @ v.conj().T
 
@@ -316,11 +316,11 @@ def choi_matrix(s: SuperOperator) -> np.ndarray:
     return s.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
-def is_herm_preserving(s: SuperOperator, tol: float = 1e-10) -> bool:
-    """Whether S maps Hermitian matrices to Hermitian matrices."""
+def is_herm_preserving(s: SuperOperator) -> bool:
+    """Whether S maps Hermitian matrices to Hermitian matrices, to 1e-10 relative."""
     c = choi_matrix(s)
     scale = max(1.0, np.linalg.norm(c))
-    return bool(np.linalg.norm(c - c.conj().T) <= tol * scale)
+    return bool(np.linalg.norm(c - c.conj().T) <= 1e-10 * scale)
 
 
 def expm_superop(s: SuperOperator, t: float) -> SuperOperator:
@@ -372,28 +372,26 @@ def _check_exponential(out: np.ndarray, s: SuperOperator, t: float):
         raise NumericalError(f"superoperator exponential overflowed at t={t}; ||S||={norm:.3e}")
 
 
-def clamp_psd(a, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
+def clamp_psd(a, what: str = "matrix") -> np.ndarray:
     """Zero out slightly negative eigenvalues of a nearly-PSD Hermitian matrix.
 
-    Eigenvalues in [-tol, 0) are clamped to 0 (logged); anything below
-    -tol is an error for the caller to raise on, signalled here.  When
-    nothing is clamped the result is the operator's own matrix object,
-    so a caller that passed a HermitianOperator can tell by identity
-    that the operator, and its memoized spectrum, still stand.
+    Eigenvalues in [-1e-9, 0) are clamped to 0 (logged); one below
+    -1e-9 raises NumericalError.  When nothing is clamped the result is
+    the operator's own matrix object, so a caller that passed a
+    HermitianOperator can tell by identity that the operator, and its
+    memoized spectrum, still stand.
     """
     h = as_herm(a)
-    return _clamp_spectrum(h.spectrum, h.mat, tol, what)
+    return _clamp_spectrum(h.spectrum, h.mat, what)
 
 
-def _clamp_spectrum(dec: SpectralDecomposition, mat: np.ndarray, tol: float, what: str):
+def _clamp_spectrum(dec: SpectralDecomposition, mat: np.ndarray, what: str):
     """clamp_psd of mat, whose decomposition is dec; mat itself if nothing is clamped."""
     w = dec.eigenvalues
     if w[0] >= 0.0:
         return mat
-    if w[0] < -tol:
-        raise NumericalError(
-            f"{what} lost positivity: min eigenvalue {w[0]:.3e} below -{tol:.1e}"
-        )
+    if w[0] < -1e-9:
+        raise NumericalError(f"{what} lost positivity: min eigenvalue {w[0]:.3e} below -1.0e-09")
     logger.warning("clamping %s eigenvalues in [%.3e, 0) to zero", what, w[0])
     wc = np.clip(w, 0.0, None)
     return (dec.eigenvectors * wc) @ dec.eigenvectors.conj().T

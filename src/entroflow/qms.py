@@ -57,7 +57,6 @@ from .matcore import (
 from .statespace import Density
 
 _CP_CHECK_TIMES = (0.1, 1.0)
-_CP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,11 @@ def _check_unital(l_heis: SuperOperator, dim: int):
         raise InputError(f"generator is not unital: ||L(1)|| = {np.linalg.norm(lu):.3e}")
 
 
-def _check_cp_semigroup(l_heis: SuperOperator, times=_CP_CHECK_TIMES):
-    for t in times:
+def _check_cp_semigroup(l_heis: SuperOperator):
+    for t in _CP_CHECK_TIMES:
         c = choi_matrix(expm_superop(l_heis, -t))
         lo = float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
-        if lo < -_CP_TOL:
+        if lo < -1e-9:
             raise InputError(
                 f"exp(-tL) is not completely positive at t={t}: min Choi eig {lo:.3e}"
             )
@@ -234,7 +233,7 @@ def _clamped_density(out: np.ndarray, what: str) -> Density:
     be clamped, so the state keeps the spectrum already computed.
     """
     h = HermitianOperator(out)
-    clamped = clamp_psd(h, tol=1e-9, what=what)
+    clamped = clamp_psd(h, what=what)
     return Density(h if clamped is h.mat else HermitianOperator(clamped))
 
 
@@ -362,8 +361,8 @@ def gns_symmetry_residual(gen: Generator, phi: Density) -> float:
     return float(np.abs(fl.conj().T - fl).max())
 
 
-def is_gns_symmetric(gen: Generator, phi: Density, tol: float = 1e-8) -> bool:
-    return gns_symmetry_residual(gen, phi) <= tol
+def is_gns_symmetric(gen: Generator, phi: Density) -> bool:
+    return gns_symmetry_residual(gen, phi) <= 1e-8
 
 
 @dataclass(frozen=True)
@@ -383,7 +382,7 @@ class FixedPointData:
         return (out + out.conj().T) / 2
 
 
-def _validate_expectation(fp: FixedPointData, gen: Generator, tol: float = 1e-9):
+def _validate_expectation(fp: FixedPointData, gen: Generator):
     """Raise NumericalError unless fp is a conditional expectation for gen.
 
     E must be idempotent, unital and CP and absorb P_0.5 and P_2 on both
@@ -397,9 +396,9 @@ def _validate_expectation(fp: FixedPointData, gen: Generator, tol: float = 1e-9)
     e_mat = e.kernel if schur else e.matrix
     compose = np.multiply if schur else np.matmul
     scale = max(1.0, np.linalg.norm(e_mat))
-    if np.linalg.norm(compose(e_mat, e_mat) - e_mat) > tol * scale:
+    if np.linalg.norm(compose(e_mat, e_mat) - e_mat) > 1e-9 * scale:
         raise NumericalError("fixed-point expectation is not idempotent")
-    if np.linalg.norm(e.apply(np.eye(d)) - np.eye(d)) > tol:
+    if np.linalg.norm(e.apply(np.eye(d)) - np.eye(d)) > 1e-9:
         raise NumericalError("fixed-point expectation is not unital")
     if schur:
         lo = min(float(np.linalg.eigvalsh((e_mat + e_mat.conj().T) / 2)[0]), 0.0)

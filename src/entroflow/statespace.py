@@ -66,8 +66,8 @@ class Density:
     def normalize(self) -> "Density":
         return Density(HermitianOperator(self.op.mat / self.trace))
 
-    def is_faithful(self, cutoff: float = SUPPORT_CUTOFF) -> bool:
-        return _faithful(self.op.spectrum, cutoff)
+    def is_faithful(self) -> bool:
+        return _faithful(self.op.spectrum)
 
 
 def density(mat) -> Density:
@@ -94,12 +94,12 @@ def _density_trace(dec: SpectralDecomposition, mat: np.ndarray) -> float:
     return tr
 
 
-def _faithful(dec: SpectralDecomposition, cutoff: float) -> bool:
+def _faithful(dec: SpectralDecomposition) -> bool:
     w = dec.eigenvalues
-    return bool(w[0] > cutoff * w[-1])
+    return bool(w[0] > SUPPORT_CUTOFF * w[-1])
 
 
-def rel_entropy(rho: Density, sigma: Density, support_cutoff: float = SUPPORT_CUTOFF) -> float:
+def rel_entropy(rho: Density, sigma: Density) -> float:
     """Relative entropy D(rho || sigma), math.inf on support mismatch.
 
     Evaluated in the two eigenbases through the overlap matrix
@@ -108,18 +108,18 @@ def rel_entropy(rho: Density, sigma: Density, support_cutoff: float = SUPPORT_CU
     """
     if rho.dim != sigma.dim:
         raise InputError("dimension mismatch between states")
-    return _rel_entropy_spectral(rho.op.spectrum, rho.trace, sigma.op.spectrum, support_cutoff)
+    return _rel_entropy_spectral(rho.op.spectrum, rho.trace, sigma.op.spectrum)
 
 
 def _rel_entropy_spectral(
-    dr: SpectralDecomposition, rho_trace: float, ds: SpectralDecomposition, support_cutoff: float
+    dr: SpectralDecomposition, rho_trace: float, ds: SpectralDecomposition
 ) -> float:
     """rel_entropy from the decompositions of rho and sigma."""
     # clipped eigenvalues, still ascending: the last is the largest
     p = np.clip(dr.eigenvalues, 0.0, None)
     q = np.clip(ds.eigenvalues, 0.0, None)
-    p_on = p > support_cutoff * p[-1]
-    q_on = q > support_cutoff * q[-1]
+    p_on = p > SUPPORT_CUTOFF * p[-1]
+    q_on = q > SUPPORT_CUTOFF * q[-1]
     p_sup = p[p_on]
     # |<u_i|v_j>|^2 on the support of rho; compress keeps the blocks C-ordered
     overlap = (np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2).compress(p_on, axis=0)
@@ -132,7 +132,7 @@ def _rel_entropy_spectral(
     return plogp - cross
 
 
-def balpha_factor(rho: Density, sigma: Density, support_cutoff: float = SUPPORT_CUTOFF):
+def balpha_factor(rho: Density, sigma: Density):
     """Smallest alpha >= 1 with sigma/alpha <= rho <= alpha*sigma, or None.
 
     sigma must be faithful; a singular rho returns None (no finite
@@ -141,20 +141,16 @@ def balpha_factor(rho: Density, sigma: Density, support_cutoff: float = SUPPORT_
     """
     if rho.dim != sigma.dim:
         raise InputError("dimension mismatch between states")
-    return _balpha_spectral(rho.mat, rho.op.spectrum, sigma.mat, sigma.op.spectrum, support_cutoff)
+    return _balpha_spectral(rho.mat, rho.op.spectrum, sigma.mat, sigma.op.spectrum)
 
 
 def _balpha_spectral(
-    rho_mat: np.ndarray,
-    dr: SpectralDecomposition,
-    sigma_mat: np.ndarray,
-    ds: SpectralDecomposition,
-    support_cutoff: float,
+    rho_mat: np.ndarray, dr: SpectralDecomposition, sigma_mat: np.ndarray, ds: SpectralDecomposition
 ):
     """balpha_factor of the states with these matrices and decompositions."""
-    if not _faithful(ds, support_cutoff):
+    if not _faithful(ds):
         raise DomainError("reference state must be faithful")
-    if not _faithful(dr, support_cutoff):
+    if not _faithful(dr):
         return None
     # both matrices come from validated operators, already checked finite
     w = _pencil_eigvals(rho_mat, sigma_mat)
@@ -209,16 +205,16 @@ class SandwichBound:
         return self.lower_ok and self.upper_ok
 
 
-def sandwich_bound(rho: Density, sigma: Density, alpha: float, tol: float = 1e-9) -> SandwichBound:
-    """Check alpha^{-1} sigma <= rho <= alpha sigma within tol."""
+def sandwich_bound(rho: Density, sigma: Density, alpha: float) -> SandwichBound:
+    """Check alpha^{-1} sigma <= rho <= alpha sigma, each side to within 1e-9."""
     if alpha < 1.0:
         raise DomainError(f"alpha must be >= 1, got {alpha}")
     w = _pencil_eigvals(rho.op.mat, sigma.op.mat)
     lo, hi = float(w[0]), float(w[-1])
     return SandwichBound(
         alpha=alpha,
-        lower_ok=bool(lo >= 1.0 / alpha - tol),
-        upper_ok=bool(hi <= alpha + tol),
+        lower_ok=bool(lo >= 1.0 / alpha - 1e-9),
+        upper_ok=bool(hi <= alpha + 1e-9),
         witness_eigs=(lo, hi),
     )
 
@@ -260,7 +256,7 @@ def _rel_hamiltonian_spectral(dr: SpectralDecomposition, ds: SpectralDecompositi
     alpha is their balpha_factor, computed by the caller; when it is not
     None, the log(alpha) bound on the result is asserted.
     """
-    h = _spectral_fn(dr, np.log, SUPPORT_CUTOFF) - _spectral_fn(ds, np.log, SUPPORT_CUTOFF)
+    h = _spectral_fn(dr, np.log) - _spectral_fn(ds, np.log)
     if alpha is None:
         return (h + h.conj().T) / 2
     # the Hermitian part op_norm(h) would decompose is also the result
@@ -273,12 +269,12 @@ def _rel_hamiltonian_spectral(dr: SpectralDecomposition, ds: SpectralDecompositi
     return sym
 
 
-def resolvent_log_approx(rho: Density, sigma: Density, n: int, nodes: int = 200) -> np.ndarray:
+def resolvent_log_approx(rho: Density, sigma: Density, n: int) -> np.ndarray:
     """Truncated integral representation of log rho - log sigma.
 
         x_n = int_{1/n}^{n} ((sigma + s)^{-1} - (rho + s)^{-1}) ds
 
-    evaluated by Gauss-Legendre quadrature after the substitution
+    evaluated by 200-node Gauss-Legendre quadrature after the substitution
     s = e^u, which makes the integrand smooth and exponentially
     decaying at both ends.  Satisfies ||x_n|| <= log alpha whenever rho
     lies in B_alpha(sigma), and converges to the relative Hamiltonian
@@ -288,13 +284,11 @@ def resolvent_log_approx(rho: Density, sigma: Density, n: int, nodes: int = 200)
         raise InputError("dimension mismatch between states")
     if n < 1:
         raise DomainError(f"truncation index must be >= 1, got {n}")
-    if nodes < 2:
-        raise DomainError(f"need at least 2 quadrature nodes, got {nodes}")
     d = rho.dim
     if n == 1:
         return np.zeros((d, d), dtype=complex)
     half = math.log(n)
-    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = np.polynomial.legendre.leggauss(200)
     u = u * half
     w = w * half
     eye = np.eye(d)
@@ -308,13 +302,13 @@ def resolvent_log_approx(rho: Density, sigma: Density, n: int, nodes: int = 200)
     return (out + out.conj().T) / 2
 
 
-def pinsker_gap(rho: Density, sigma: Density, tol: float = 1e-9) -> float:
+def pinsker_gap(rho: Density, sigma: Density) -> float:
     """Slack 2 D(rho||sigma) - ||rho - sigma||_1^2 of the Pinsker bound.
 
-    Both inputs must be normalized states.  Returns math.inf when the
-    relative entropy is infinite.
+    Both inputs must be normalized states (trace 1 within 1e-9).
+    Returns math.inf when the relative entropy is infinite.
     """
-    if abs(rho.trace - 1.0) > tol or abs(sigma.trace - 1.0) > tol:
+    if abs(rho.trace - 1.0) > 1e-9 or abs(sigma.trace - 1.0) > 1e-9:
         raise DomainError("pinsker_gap requires normalized states")
     d = rel_entropy(rho, sigma)
     if math.isinf(d):

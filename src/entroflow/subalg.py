@@ -123,11 +123,10 @@ class ExtensionEntropyCheck:
     joint: float
     blockwise: float
     residual: float
-    ok: bool
 
 
 def entropy_extension_check(
-    spec: SubalgebraSpec, rho: Density, sigma: Density, tol: float = 1e-9
+    spec: SubalgebraSpec, rho: Density, sigma: Density
 ) -> ExtensionEntropyCheck:
     """Embed pinched states unscaled and compare the joint relative
     entropy against an independent block-by-block evaluation."""
@@ -158,9 +157,7 @@ def entropy_extension_check(
     residual = abs(joint - total) if np.isfinite(joint) and np.isfinite(total) else (
         0.0 if joint == total else np.inf
     )
-    return ExtensionEntropyCheck(
-        joint=joint, blockwise=total, residual=residual, ok=residual <= tol
-    )
+    return ExtensionEntropyCheck(joint=joint, blockwise=total, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -169,11 +166,10 @@ class ProjectionIdentityCheck:
 
     orthogonality: float
     chain_residual: float
-    ok: bool
 
 
 def rel_hamiltonian_projection_check(
-    spec: SubalgebraSpec, rho: Density, sigma: Density, tol: float = 1e-10
+    spec: SubalgebraSpec, rho: Density, sigma: Density
 ) -> ProjectionIdentityCheck:
     """Check tr((rho - E_* rho)(log E_* rho - log sigma)) = 0 and the
     chain rule D(rho||sigma) = D(rho||E_* rho) + D(E_* rho||sigma)."""
@@ -186,9 +182,7 @@ def rel_hamiltonian_projection_check(
     chain = abs(
         rel_entropy(rho, sigma) - rel_entropy(rho, rho_n) - rel_entropy(rho_n, sigma)
     )
-    return ProjectionIdentityCheck(
-        orthogonality=float(orth), chain_residual=float(chain), ok=max(orth, chain) <= tol
-    )
+    return ProjectionIdentityCheck(orthogonality=float(orth), chain_residual=float(chain))
 
 
 @dataclass(frozen=True)
@@ -197,13 +191,10 @@ class MartingaleReport:
 
     entropies: tuple
     limit: float
-    monotone: bool
     max_violation: float
 
 
-def martingale_entropy_check(
-    specs, rho: Density, sigma: Density, tol: float = 1e-10
-) -> MartingaleReport:
+def martingale_entropy_check(specs, rho: Density, sigma: Density) -> MartingaleReport:
     """Entropies D(E_n rho || E_n sigma) along subalgebras ordered from
     smallest to largest; data processing makes the sequence increase
     toward D(rho || sigma)."""
@@ -224,12 +215,8 @@ def martingale_entropy_check(
         values.append(rel_entropy(pinch_state(s, rho), sigma))
     limit = rel_entropy(rho, sigma)
     steps = np.diff(np.array(values + [limit]))
-    max_violation = float(max(0.0, -steps.min()))
     return MartingaleReport(
-        entropies=tuple(values),
-        limit=limit,
-        monotone=max_violation <= tol,
-        max_violation=max_violation,
+        entropies=tuple(values), limit=limit, max_violation=float(max(0.0, -steps.min()))
     )
 
 

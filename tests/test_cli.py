@@ -104,27 +104,55 @@ def test_exit_code_size_error(tmp_path):
     assert code == 4
 
 
-def test_huge_rank_exits_4_before_listing_letters(tmp_path):
-    """free rank 10**9 is refused on its first layer, before 2 * 10**9 letters are listed.
+def run_capped(tmp_path, command, cfg):
+    """Run the CLI in a child process capped at 1 GiB of address space.
 
-    The CLI runs in a child process capped at 1 GiB of address space, so a
-    regression ends there in a MemoryError instead of exhausting memory.
+    A size check that regresses then ends in a MemoryError there instead
+    of exhausting the machine's memory.
     """
-    path = write_config(tmp_path / "c.json", {"kind": "free", "rank": 10**9, "radius": 2})
+    path = write_config(tmp_path / "c.json", cfg)
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "entroflow.cli", "freegroup", "--config", path, "--out", str(tmp_path / "o")],
+    return subprocess.run(
+        [sys.executable, "-m", "entroflow.cli", command, "--config", path, "--out", str(tmp_path / "o")],
         env={**os.environ, "PYTHONPATH": str(pathlib.Path(entroflow.__file__).parents[1])},
         preexec_fn=cap_memory,
         capture_output=True,
         text=True,
         timeout=30,
     )
+
+
+def test_huge_rank_exits_4_before_listing_letters(tmp_path):
+    """free rank 10**9 is refused on its first layer, before 2 * 10**9 letters are listed."""
+    proc = run_capped(tmp_path, "freegroup", {"kind": "free", "rank": 10**9, "radius": 2})
     assert proc.returncode == 4, proc.stderr
     assert "exceeds the cap" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        (
+            "debruijn",
+            {
+                "generator": depolarizing_cfg(),
+                "state": [[0.9, 0.0], [0.0, 0.1]],
+                "reference": [[0.5, 0.0], [0.0, 0.5]],
+                "t_grid": {"start": 0.1, "stop": 1.0, "count": 10**10},
+            },
+        ),
+        ("mlsi", {"generator": depolarizing_cfg(), "phi": [[0.5, 0.0], [0.0, 0.5]], "sampler": {"count": 10**10}}),
+    ],
+)
+def test_huge_counts_exit_4_before_allocating(tmp_path, command, cfg):
+    """A t_grid count or a sampler count of 10**10 is refused before its list is built."""
+    proc = run_capped(tmp_path, command, cfg)
+    assert proc.returncode == 4, proc.stderr
+    assert "exceeds the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 MLSI_CFG = {
@@ -176,6 +204,10 @@ MLSI_CFG = {
         ("debruijn", {"step": -1e-4}),
         ("mlsi", {"generator": {"type": "schur", "symbol": [[0, [1, 0.7]], [[1, -0.7], 0]]}}),
         ("mlsi", {"generator": {"type": "gkls", "jumps": 5}}),
+        ("debruijn", {"tolerances": {"debruijn_residul": 1e-30}}),
+        ("debruijn", {"tolerances": {"debruijn_residual": float("nan")}}),
+        ("debruijn", {"tolerances": {"production_floor": float("inf")}}),
+        ("subalg", {"tolerances": {"beta_floor": 1e-6}}),
     ],
 )
 def test_exit_code_bad_config_value(tmp_path, capsys, command, patch):
@@ -404,3 +436,53 @@ def test_mutated_configs_exit_with_a_contract_code(tmp_path, capsys, command):
             if not (type(code) is int and 0 <= code <= 5) or "Traceback" in capsys.readouterr().err:
                 bad.append((path, value, code))
     assert bad == []
+
+
+# For every tolerance name a suite reads: an override that fails every check
+# the name governs, and those checks.
+TOLERANCE_OVERRIDES = {
+    "debruijn": {
+        "debruijn_residual": (-1.0, {"debruijn_residual"}),
+        "production_floor": (-1e6, {"production_nonnegative", "entropy_decreasing"}),
+    },
+    "mlsi": {
+        "beta_floor": (1e6, {"beta_positive"}),
+        "fit_ratio_band": (0.5, {"ratio_vs_fit"}),
+    },
+    "freegroup": {
+        "eigenvalue_residual": (-1.0, {"eigenvalue_relation"}),
+        "kernel_floor": (-1e6, {"kernel_psd"}),
+        "invariance_residual": (-1.0, {"trace_invariant"}),
+    },
+    "intertwine": {
+        "intertwining_residual": (-1.0, {"intertwining_residual"}),
+        "dominance_floor": (-1e6, {"single_flip_dominated", "distinct_pair_dominated"}),
+        "repeat_failure_margin": (1e6, {"repeated_flip_not_dominated"}),
+    },
+    "subalg": {
+        "extension_residual": (-1.0, {"extension_entropy"}),
+        "projection_residual": (-1.0, {"projection_orthogonality", "projection_chain_rule"}),
+        "martingale_violation": (-1.0, {"martingale_monotone"}),
+        "resolvent_shrink": (-1.0, {"resolvent_defect_decays"}),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command,name", [(c, n) for c in sorted(cli._TOLERANCES) for n in sorted(cli._TOLERANCES[c])]
+)
+def test_each_tolerance_override_decides_the_checks_it_governs(tmp_path, command, name):
+    """Overriding one tolerance fails exactly the checks it governs, at the reported value."""
+    value, governed = TOLERANCE_OVERRIDES[command][name]
+    base = MUTATION_BASES[command]
+
+    def run(cfg, out):
+        code = main([command, "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / out)])
+        return code, json.loads((tmp_path / out / "report.json").read_text())["checks"]
+
+    code, checks = run(base, "base")
+    assert code == 0 and all(c["passed"] for c in checks)
+    code, checks = run({**base, "tolerances": {**base.get("tolerances", {}), name: value}}, "override")
+    assert code == 1
+    assert {c["name"] for c in checks if not c["passed"]} == governed
+    assert all(c["tolerance"] == value for c in checks if c["name"] in governed)
