@@ -190,18 +190,14 @@ class CpDominanceReport:
     flips: tuple
     times: tuple
     min_eig: float
-    worst_time: float
-    worst_row: int
-    worst_side: str
-    passed: bool
 
 
-def cp_dominance_check(calc: DiffCalculus, flips, t: float, side: str = "left"):
+def cp_dominance_check(calc: DiffCalculus, flips, t: float, side: str = "left") -> float:
     """Min eigenvalue over the blocks G_c = e^{-2Kt} e^{-t psi} - w_c w_c^dag.
 
-    Returns (min_eig, worst_row).  side selects rows of the composite
-    kernel (left module action) or conjugated columns (right action,
-    the opposite-algebra Choi convention).
+    side selects rows of the composite kernel (left module action) or
+    conjugated columns (right action, the opposite-algebra Choi
+    convention).
     """
     flips = _check_flips(calc, flips)
     if side not in ("left", "right"):
@@ -213,36 +209,25 @@ def cp_dominance_check(calc: DiffCalculus, flips, t: float, side: str = "left"):
         )
     kappa = component_kernel(calc, flips, t)
     base = np.exp(-2 * len(flips) * t) * np.exp(-t * calc.symbol().astype(float))
-    worst = (np.inf, -1)
+    worst = np.inf
     for c in range(d):
         w = kappa[c] if side == "left" else kappa[:, c].conj()
         g = base - np.outer(w, np.conj(w))
-        lo = float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0])
-        if lo < worst[0]:
-            worst = (lo, c)
+        worst = min(worst, float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0]))
     return worst
 
 
 def cp_dominance_report(calc: DiffCalculus, flips, times=(0.25, 1.0)) -> CpDominanceReport:
-    """Sweep times and both module actions; passed iff no block dips
-    below -1e-9."""
+    """Sweep times and both module actions for the least block eigenvalue.
+
+    The flips are dominated where min_eig is not below the caller's floor
+    (the CLI's dominance_floor)."""
     flips = _check_flips(calc, flips)
     times = _check_times(times)
-    best = (np.inf, 0.0, -1, "left")
-    for t in times:
-        for side in ("left", "right"):
-            lo, row = cp_dominance_check(calc, flips, t, side)
-            if lo < best[0]:
-                best = (lo, t, row, side)
-    return CpDominanceReport(
-        flips=flips,
-        times=times,
-        min_eig=best[0],
-        worst_time=best[1],
-        worst_row=best[2],
-        worst_side=best[3],
-        passed=best[0] >= -1e-9,
+    min_eig = min(
+        cp_dominance_check(calc, flips, t, side) for t in times for side in ("left", "right")
     )
+    return CpDominanceReport(flips=flips, times=times, min_eig=min_eig)
 
 
 def _check_flip(calc: DiffCalculus, i: int):

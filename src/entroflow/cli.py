@@ -42,7 +42,7 @@ from .entropyflow import (
     trajectory,
 )
 from .errors import DomainError, InputError, NumericalError, SizeError
-from .groupsem import build_ball_semigroup, left_regular_observable
+from .groupsem import BALL_CAP, build_ball_semigroup, left_regular_observable
 from .qms import Generator, gkls_generator, raw_generator, schur_generator
 from .statespace import Density, density
 from .subalg import (
@@ -56,42 +56,33 @@ from .subalg import (
 # ---------------------------------------------------------------- serialization
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        return [float(x.real), float(x.imag)]
-    return x
-
-
 def _dump(x) -> str:
-    """JSON text with sorted keys and fixed float format."""
-    x = _jsonable(x)
+    """JSON text with sorted keys and fixed float format.
+
+    numpy scalars and arrays are written as the Python values they
+    convert to, a complex number as [re, im], and a dict key as str(key).
+    """
     if x is None:
         return "null"
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        if not np.isfinite(x):
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if not math.isfinite(x):
             return '"inf"' if x > 0 else ('"-inf"' if x < 0 else '"nan"')
         return format(x, ".17g")
+    if isinstance(x, (complex, np.complexfloating)):
+        return _dump([float(x.real), float(x.imag)])
     if isinstance(x, str):
         return json.dumps(x)
-    if isinstance(x, list):
+    if isinstance(x, np.ndarray):
+        return _dump(x.tolist())
+    if isinstance(x, (list, tuple)):
         return "[" + ",".join(_dump(v) for v in x) + "]"
     if isinstance(x, dict):
+        x = {str(k): v for k, v in x.items()}
         return "{" + ",".join(
             f"{json.dumps(k)}:{_dump(x[k])}" for k in sorted(x)
         ) + "}"
@@ -146,7 +137,15 @@ def _parse_density(obj, what: str) -> Density:
     return density(_parse_matrix(obj, what))
 
 
+def _check_dim(dim: int, what: str):
+    """Refuse a generator on more than BALL_CAP dimensions (SizeError, exit 4)."""
+    if dim > BALL_CAP:
+        raise SizeError(f"{what} of dimension {dim} exceeds the cap of {BALL_CAP}")
+
+
 def _parse_generator(obj) -> Generator:
+    """The generator of a config, refused with SizeError above BALL_CAP
+    dimensions before any d^2 x d^2 array is built from its d x d data."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("generator must be an object with a 'type' field")
     kind = obj["type"]
@@ -156,12 +155,18 @@ def _parse_generator(obj) -> Generator:
         if not isinstance(jumps, list):
             raise InputError("jumps must be a list of matrices")
         jumps = [_parse_matrix(j, "jump operator") for j in jumps]
-        dim = obj.get("dim")
-        return gkls_generator(hamiltonian=ham, jumps=jumps, dim=dim)
+        if ham is not None or jumps:
+            # gkls_generator takes its dimension from the Hamiltonian, else the first jump
+            _check_dim((ham if ham is not None else jumps[0]).shape[0], "gkls generator")
+        return gkls_generator(hamiltonian=ham, jumps=jumps, dim=obj.get("dim"))
     if kind == "schur":
-        return schur_generator(_parse_matrix(obj["symbol"], "symbol"))
+        psi = _parse_matrix(obj["symbol"], "symbol")
+        _check_dim(psi.shape[0], "schur generator")
+        return schur_generator(psi)
     if kind == "matrix":
-        return raw_generator(_parse_matrix(obj["heisenberg"], "heisenberg matrix"))
+        heis = _parse_matrix(obj["heisenberg"], "heisenberg matrix")
+        _check_dim(math.isqrt(heis.shape[0]), "matrix generator")
+        return raw_generator(heis)
     raise InputError(f"unknown generator type {obj['type']!r}")
 
 
@@ -236,12 +241,10 @@ def _sampler(cfg: dict) -> SamplerConfig:
     s = cfg.get("sampler", {})
     if not isinstance(s, dict):
         raise InputError("sampler must be an object")
-    return SamplerConfig(
-        count=_coerce(int, s.get("count", 100), "sampler count"),
-        blend_epsilons=_coerce(_floats, s.get("blend_epsilons", (0.01, 0.1)), "blend_epsilons"),
-        near_pure_fraction=_coerce(float, s.get("near_pure_fraction", 0.25), "near_pure_fraction"),
-        dirichlet_fraction=_coerce(float, s.get("dirichlet_fraction", 0.25), "dirichlet_fraction"),
-    )
+    unknown = sorted(set(s) - {"count"})
+    if unknown:
+        raise InputError(f"sampler reads only 'count', got {unknown}")
+    return SamplerConfig(count=_coerce(int, s.get("count", 100), "sampler count"))
 
 
 def _check(name: str, value: float, tolerance: float, passed: bool) -> dict:

@@ -161,14 +161,19 @@ def debruijn_residual(record: TrajectoryRecord, h: float = 1e-4) -> float:
     return worst
 
 
+# The fixed sample mix: a quarter near-pure states, a quarter Dirichlet
+# diagonals, the rest sandwiched blends; sample i is blended with phi at
+# _BLEND_EPSILONS[i % 2].
+_BLEND_EPSILONS = (0.01, 0.1)
+_NEAR_PURE_FRACTION = 0.25
+_DIRICHLET_FRACTION = 0.25
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Deterministic state-sampler settings."""
 
     count: int = 100
-    blend_epsilons: tuple = (0.01, 0.1)
-    near_pure_fraction: float = 0.25
-    dirichlet_fraction: float = 0.25
 
 
 def _sample_one(rng, dim: int, phi_mat: np.ndarray, kind: str, eps: float) -> Density:
@@ -207,24 +212,15 @@ def state_samples(dim: int, phi: Density, config: SamplerConfig, seed: int) -> l
         raise SizeError(
             f"sample exceeds the cap of {SIZE_BUDGET} entries: {config.count} x {dim}^2"
         )
-    if not config.blend_epsilons:
-        raise InputError("sampler needs at least one blend epsilon")
-    for eps in config.blend_epsilons:
-        if not 0.0 <= eps <= 1.0:
-            raise InputError(f"blend epsilon must lie in [0, 1], got {eps}")
-    fractions = (config.near_pure_fraction, config.dirichlet_fraction)
-    if not all(0.0 <= f <= 1.0 for f in fractions) or sum(fractions) > 1.0:
-        raise InputError(f"sampler fractions must lie in [0, 1] and sum to <= 1, got {fractions}")
     phi_n = phi.normalize()
-    n_pure = int(round(config.near_pure_fraction * config.count))
-    n_dir = int(round(config.dirichlet_fraction * config.count))
+    n_pure = int(round(_NEAR_PURE_FRACTION * config.count))
+    n_dir = int(round(_DIRICHLET_FRACTION * config.count))
     kinds = ["near_pure"] * n_pure + ["dirichlet"] * n_dir
     kinds += ["blend"] * (config.count - len(kinds))
-    kinds = kinds[: config.count]
     streams = np.random.SeedSequence(seed).spawn(config.count)
     out = []
     for i, (kind, ss) in enumerate(zip(kinds, streams)):
-        eps = config.blend_epsilons[i % len(config.blend_epsilons)]
+        eps = _BLEND_EPSILONS[i % len(_BLEND_EPSILONS)]
         out.append(_sample_one(np.random.default_rng(ss), dim, phi_n.mat, kind, eps))
     return out
 

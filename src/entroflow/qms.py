@@ -70,7 +70,6 @@ class Generator:
     dim: int
     heisenberg: SuperOperator
     schroedinger: SuperOperator
-    symbol: np.ndarray | None = None
 
     def semigroup(self, t: float) -> SuperOperator:
         """Heisenberg semigroup P_t = exp(-t L)."""
@@ -168,7 +167,7 @@ def schur_generator(symbol) -> Generator:
                 f"exp(-t*symbol) is not a PSD kernel at t={t}: min eig {lo:.3e}"
             )
     m = schur_multiplier_super(psi)
-    return Generator(dim=d, heisenberg=m, schroedinger=m, symbol=psi)
+    return Generator(dim=d, heisenberg=m, schroedinger=m)
 
 
 def raw_generator(matrix) -> Generator:
@@ -268,7 +267,6 @@ def _spectral_projection_zero(m: np.ndarray, empty: str):
 class InvariantStates:
     """Stationary structure of a semigroup in the Schroedinger picture."""
 
-    basis: tuple  # PSD Densities spanning the stationary cone
     hermitian_basis: tuple  # orthonormal Hermitian kernel basis (arrays)
     faithful_exists: bool
     faithful_state: Density | None
@@ -296,7 +294,7 @@ def _hermitian_frame(d: int) -> np.ndarray:
 
 
 def invariant_states(gen: Generator) -> InvariantStates:
-    """Kernel of L_* intersected with Hermitian matrices, plus faithfulness flag.
+    """Orthonormal Hermitian basis of ker(L_*), and the faithful invariant state if any.
 
     L_* preserves Hermiticity, so in the Hermitian frame it is a real
     matrix whose kernel is exactly the Hermitian part of ker(L_*): one
@@ -312,36 +310,25 @@ def invariant_states(gen: Generator) -> InvariantStates:
     herm_basis = [unvec(t @ c, d) for c in kern.T]
     # the frame keeps E_ii, so 1/d has the same coordinates in it
     mean = unvec(t @ (proj @ vec(np.eye(d) / d)), d)
-    mean_min = float(np.linalg.eigvalsh(mean)[0])
-    faithful = mean_min > 1e-10
+    faithful = float(np.linalg.eigvalsh(mean)[0]) > 1e-10
     faithful_state = None
     if faithful:
         faithful_state = Density(HermitianOperator(mean / np.trace(mean).real))
-
-    basis = []
-    for h in herm_basis:
-        # orient so the dominant spectral weight is positive
-        w = np.linalg.eigvalsh(h)
-        if abs(w[0]) > abs(w[-1]):
-            h = -h
-        lo = float(np.linalg.eigvalsh(h)[0])
-        if lo >= -1e-12:
-            cand = h
-        elif faithful:
-            # shift along the faithful mean until PSD
-            cand = h + (1.1 * abs(lo) / mean_min) * mean
-        else:
-            continue
-        tr = float(np.trace(cand).real)
-        if tr <= 1e-12:
-            continue
-        basis.append(Density(HermitianOperator(cand / tr)))
     return InvariantStates(
-        basis=tuple(basis),
         hermitian_basis=tuple(herm_basis),
         faithful_exists=faithful,
         faithful_state=faithful_state,
     )
+
+
+def _weigh(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """kron(a^T, 1) @ m for d x d a and d^2 x d^2 m, as one d x d^3 product.
+
+    kron(a^T, 1) is the matrix of x -> x a; row (i, k) of the product
+    is sum_j a[j, i] * row (j, k) of m.
+    """
+    d = a.shape[0]
+    return (a.T @ m.reshape(d, -1)).reshape(d * d, d * d)
 
 
 def gns_symmetry_residual(gen: Generator, phi: Density) -> float:
@@ -355,9 +342,7 @@ def gns_symmetry_residual(gen: Generator, phi: Density) -> float:
     """
     if phi.dim != gen.dim:
         raise InputError("state dimension does not match generator")
-    d = gen.dim
-    # row (a, i) of F L is sum_b phi[b, a] * row (b, i) of L: a d x d^3 product
-    fl = (phi.mat.T @ gen.heisenberg.matrix.reshape(d, -1)).reshape(d * d, d * d)
+    fl = _weigh(phi.mat, gen.heisenberg.matrix)
     return float(np.abs(fl.conj().T - fl).max())
 
 
@@ -458,30 +443,23 @@ def fixed_point_expectation(gen: Generator, phi: Density) -> FixedPointData:
     return fp
 
 
-def _weighted_implementation(gen: Generator, phi: Density) -> np.ndarray:
-    """g L g^-1 with g vec(x) = vec(x phi^(1/2)).
-
-    It is L in the phi-weighted inner product, Hermitian exactly when
-    the semigroup is phi-symmetric.  g and g^-1 = kron((phi^-1/2)^T, 1)
-    both come from phi's memoized spectrum.
-    """
-    eye = np.eye(gen.dim)
-    g = np.kron(mat_fn(phi.op, np.sqrt).T, eye)
-    ginv = np.kron(mat_fn(phi.op, lambda x: 1 / np.sqrt(x)).T, eye)
-    return g @ gen.heisenberg.matrix @ ginv
-
-
 def spectral_gap(gen: Generator, phi: Density) -> float:
     """Smallest nonzero eigenvalue of L in the phi-weighted implementation.
 
-    Requires the semigroup to be phi-symmetric (within 1e-8); the
-    weighted implementation is then Hermitian with real spectrum.
+    The weighted implementation is g L g^-1 with g = kron((phi^1/2)^T, 1),
+    the matrix of x -> x phi^(1/2): L in the phi-weighted inner product.
+    It requires the semigroup to be phi-symmetric (within 1e-8), and is
+    then Hermitian with real spectrum.  g and g^-1 come from phi's
+    memoized spectrum and act as two d x d^3 products (see _weigh).
     """
     if not phi.is_faithful():
         raise DomainError("reference state must be faithful")
     if not is_gns_symmetric(gen, phi):
         raise DomainError("spectral gap requires a state-symmetric semigroup")
-    l2 = _weighted_implementation(gen, phi)
+    root = mat_fn(phi.op, np.sqrt)
+    root_inv = mat_fn(phi.op, lambda x: 1 / np.sqrt(x))
+    # (g L) g^-1 = (kron(root_inv, 1) (g L)^T)^T
+    l2 = _weigh(root_inv.T, _weigh(root, gen.heisenberg.matrix).T).T
     herm_resid = np.linalg.norm(l2 - l2.conj().T)
     if herm_resid > 1e-7 * max(1.0, np.linalg.norm(l2)):
         raise NumericalError(

@@ -191,34 +191,6 @@ def _pencil_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError(msg)
 
 
-@dataclass(frozen=True)
-class SandwichBound:
-    """Witness for rho lying in B_alpha(sigma)."""
-
-    alpha: float
-    lower_ok: bool
-    upper_ok: bool
-    witness_eigs: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.lower_ok and self.upper_ok
-
-
-def sandwich_bound(rho: Density, sigma: Density, alpha: float) -> SandwichBound:
-    """Check alpha^{-1} sigma <= rho <= alpha sigma, each side to within 1e-9."""
-    if alpha < 1.0:
-        raise DomainError(f"alpha must be >= 1, got {alpha}")
-    w = _pencil_eigvals(rho.op.mat, sigma.op.mat)
-    lo, hi = float(w[0]), float(w[-1])
-    return SandwichBound(
-        alpha=alpha,
-        lower_ok=bool(lo >= 1.0 / alpha - 1e-9),
-        upper_ok=bool(hi <= alpha + 1e-9),
-        witness_eigs=(lo, hi),
-    )
-
-
 def rel_hamiltonian(rho: Density, sigma: Density, support=None) -> np.ndarray:
     """log rho - log sigma on a common support.
 

@@ -23,6 +23,7 @@ from entroflow.calculus import (
 from entroflow.cli import main as cli_main
 from entroflow.entropyflow import (
     SamplerConfig,
+    _sample_one,
     debruijn_residual,
     decay_certificate,
     fm_check,
@@ -366,8 +367,12 @@ def test_criterion_7_long_time_convergence():
                 continue
             gap = spectral_gap(gen, phi)
             fp = fixed_point_expectation(gen, phi)
-            cfg = SamplerConfig(count=3, near_pure_fraction=0.0, dirichlet_fraction=0.0)
-            states = state_samples(gen.dim, phi, cfg, seed)
+            # three sandwiched blends on the sampler's per-index streams
+            streams = np.random.SeedSequence(seed).spawn(3)
+            states = [
+                _sample_one(np.random.default_rng(ss), gen.dim, phi.normalize().mat, "blend", eps)
+                for ss, eps in zip(streams, (0.01, 0.1, 0.01))
+            ]
             est = mlsi_estimate(gen, phi, seed=seed, **est_kw)
             for j, psi in enumerate(states):
                 limit = fp.project_state(psi)

@@ -171,21 +171,20 @@ def test_single_flip_dominance_passes():
     calc, _ = ball_calc("free", 2, 2)
     for i in range(calc.count):
         rep = cp_dominance_report(calc, (i,), times=(0.25, 1.0))
-        assert rep.passed
         assert rep.min_eig >= -1e-12
 
 
 def test_distinct_pair_dominance_passes():
     calc, _ = ball_calc("coxeter", 3, 2)
     rep = cp_dominance_report(calc, (0, 3), times=(0.25, 1.0))
-    assert rep.passed
+    assert rep.min_eig >= -1e-9
 
 
 def test_repeated_flip_dominance_fails_at_wall_edge():
     calc, _ = ball_calc("free", 2, 2)
     t = 1.0
     rep = cp_dominance_report(calc, (0, 0), times=(t,))
-    assert not rep.passed
+    assert rep.min_eig < -1e-9
     oracle = np.exp(-4 * t) - np.exp(-2 * t)
     assert rep.min_eig <= oracle + 1e-14
     # the worst block diagonal hits the closed form exactly
@@ -203,8 +202,7 @@ def test_dominance_sides_agree_for_symmetric_kernel():
 
 def test_dominance_trivial_at_time_zero():
     calc = small_calc()
-    lo, _ = cp_dominance_check(calc, (0,), 0.0)
-    assert abs(lo) < 1e-14
+    assert abs(cp_dominance_check(calc, (0,), 0.0)) < 1e-14
 
 
 def test_dominance_size_guard():

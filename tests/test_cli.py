@@ -208,6 +208,7 @@ MLSI_CFG = {
         ("debruijn", {"tolerances": {"debruijn_residual": float("nan")}}),
         ("debruijn", {"tolerances": {"production_floor": float("inf")}}),
         ("subalg", {"tolerances": {"beta_floor": 1e-6}}),
+        ("mlsi", {"sampler": {"cnt": 4}}),
     ],
 )
 def test_exit_code_bad_config_value(tmp_path, capsys, command, patch):
@@ -226,6 +227,55 @@ def test_exit_code_bad_config_value(tmp_path, capsys, command, patch):
     err = capsys.readouterr().err
     assert err.startswith("error: bad input:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["gkls", "schur"])
+def test_generator_above_the_ball_cap_exits_4_before_allocating(tmp_path, kind):
+    """A d = 70 generator is refused before its (70^2 x 70^2) superoperator is built."""
+    d = 70
+    gen = {
+        "gkls": {"type": "gkls", "hamiltonian": np.diag(np.arange(float(d))).tolist()},
+        "schur": {"type": "schur", "symbol": (1 - np.eye(d)).tolist()},
+    }[kind]
+    flat = (np.eye(d) / d).tolist()
+    proc = run_capped(tmp_path, "debruijn", {"generator": gen, "state": flat, "reference": flat})
+    assert proc.returncode == 4, proc.stderr
+    assert f"{kind} generator of dimension 70 exceeds the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_every_generator_type_is_capped_by_dimension(tmp_path, capsys, monkeypatch):
+    """gkls, schur and matrix generators one dimension above the cap exit 4; one at the cap runs."""
+    dep3 = depolarizing_cfg(3)
+    dep3_matrix = cli._parse_generator(dep3).heisenberg.matrix
+    monkeypatch.setattr(cli, "BALL_CAP", 2)
+    generators = {
+        "gkls": dep3,
+        "schur": {"type": "schur", "symbol": (1 - np.eye(3)).tolist()},
+        "matrix": {"type": "matrix", "heisenberg": [[[v.real, v.imag] for v in row] for row in dep3_matrix]},
+    }
+    for kind, gen in generators.items():
+        cfg = {"generator": gen, "phi": (np.eye(3) / 3).tolist(), "sampler": {"count": 4}, "restarts": 0}
+        assert main(["mlsi", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]) == 4
+        assert f"{kind} generator of dimension 3 exceeds the cap of 2" in capsys.readouterr().err
+    cfg = {**MLSI_CFG, "restarts": 0}
+    assert main(["mlsi", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]) in (0, 1)
+
+
+def test_report_serializer_writes_numpy_values_in_one_pass():
+    payload = {
+        10: np.bool_(True),
+        2: [np.int64(-7), np.float32(0.1), 1 + 2j, np.complex128(-0.5j)],
+        "nonfinite": (float("inf"), -np.inf, np.float64("nan")),
+        "array": np.array([[1.5, -2.0], [0.25, 3e-300]]),
+        "flags": [False, np.bool_(False), None, "s\u00e9"],
+        "ints": np.arange(3, dtype=np.int32),
+    }
+    assert cli._dump(payload) == (
+        '{"10":true,"2":[-7,0.10000000149011612,[1,2],[-0,-0.5]],'
+        '"array":[[1.5,-2],[0.25,3.0000000000000002e-300]],'
+        '"flags":[false,false,null,"s\\u00e9"],"ints":[0,1,2],"nonfinite":["inf","-inf","nan"]}'
+    )
 
 
 def test_negative_seed_option_exits_2(tmp_path, capsys):

@@ -22,7 +22,7 @@ from entroflow.qms import (
     schur_generator,
     spectral_gap,
 )
-from entroflow.statespace import density, sandwich_bound
+from entroflow.statespace import balpha_factor, density
 
 
 def depolarizing(d):
@@ -104,8 +104,6 @@ def test_invariant_states_depolarizing():
     assert len(inv.hermitian_basis) == 1
     assert inv.faithful_exists
     assert np.allclose(inv.faithful_state.mat, np.eye(3) / 3, atol=1e-10)
-    assert len(inv.basis) == 1
-    assert np.allclose(inv.basis[0].mat, np.eye(3) / 3, atol=1e-10)
 
 
 def test_invariant_states_schur_diagonal():
@@ -126,7 +124,8 @@ def test_invariant_states_amplitude_damping_not_faithful():
     inv = invariant_states(gen)
     assert not inv.faithful_exists
     assert len(inv.hermitian_basis) == 1
-    assert np.allclose(inv.basis[0].mat, np.diag([1.0, 0.0]), atol=1e-10)
+    h = inv.hermitian_basis[0]
+    assert np.allclose(h / np.trace(h).real, np.diag([1.0, 0.0]), atol=1e-10)
 
 
 def test_gns_symmetry_classification():
@@ -146,6 +145,37 @@ def test_spectral_gap_schur_min_positive_entry():
     psi = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 5.0], [3.0, 5.0, 0.0]])
     phi = density(np.eye(3) / 3)
     assert abs(spectral_gap(schur_generator(psi), phi) - 2.0) < 1e-10
+
+
+def detailed_balance_qutrit(seed):
+    """Jumps sqrt(r_ij) E_ij with phi_j r_ij = phi_i r_ji: phi-symmetric for a random, non-uniform diagonal phi."""
+    rng = np.random.default_rng(seed)
+    p = 0.8 * rng.dirichlet(np.ones(3)) + 0.2 / 3
+    s = rng.uniform(0.5, 1.5, size=(3, 3))
+    jumps = []
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                e = np.zeros((3, 3), dtype=complex)
+                e[i, j] = np.sqrt((s[i, j] + s[j, i]) / 2 * np.sqrt(p[i] / p[j]))
+                jumps.append(e)
+    return gkls_generator(jumps=jumps), density(np.diag(p).astype(complex))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectral_gap_matches_the_kron_weighted_implementation(seed):
+    gen, phi = detailed_balance_qutrit(seed)
+    assert len(set(np.round(np.diag(phi.mat).real, 6))) == 3
+    assert gns_symmetry_residual(gen, phi) <= 1e-12
+    # oracle: g L g^-1 with g = kron((phi^1/2)^T, 1) built as dense krons
+    w, v = np.linalg.eigh(phi.mat)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    root_inv = (v / np.sqrt(w)) @ v.conj().T
+    eye = np.eye(3)
+    l2 = np.kron(root.T, eye) @ gen.heisenberg.matrix @ np.kron(root_inv.T, eye)
+    spec = np.linalg.eigvalsh((l2 + l2.conj().T) / 2)
+    oracle = spec[np.abs(spec) > 1e-10 * np.abs(spec).max()].min()
+    assert spectral_gap(gen, phi) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_spectral_gap_requires_symmetry():
@@ -283,7 +313,7 @@ def test_schur_generator_rejects_a_complex_symbol():
     with pytest.raises(InputError, match="real"):
         schur_generator(np.array([[0, 1 + 0.7j], [1 - 0.7j, 0]]))
     gen = schur_generator(np.array([[0, 1 + 0j], [1 + 0j, 0]]))
-    assert np.array_equal(gen.symbol, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(gen.heisenberg.kernel, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_stationary_structure_takes_one_svd(monkeypatch):
@@ -343,9 +373,9 @@ def test_evolution_preserves_sandwich_order():
     sigma = density(np.eye(2) / 2)
     rho = density(np.diag([0.8, 0.2]))
     alpha = 2.5
-    assert sandwich_bound(rho, sigma, alpha).ok
+    assert balpha_factor(rho, sigma) <= alpha + 1e-9
     for t in (0.2, 1.0, 3.0):
-        assert sandwich_bound(evolve(gen, rho, t), sigma, alpha + 1e-8).ok
+        assert balpha_factor(evolve(gen, rho, t), sigma) <= alpha + 1e-8 + 1e-9
 
 
 def test_long_time_convergence_to_fixed_point():

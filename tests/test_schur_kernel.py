@@ -93,7 +93,7 @@ def test_kernel_operations_match_the_materialised_matrix(name):
     assert same_bits(s.apply(x), dense.apply(x))
     assert same_bits(s.apply(herm), dense.apply(herm))
 
-    other = schur_multiplier_super(np.exp(-0.4 * gen.symbol) * rng.uniform(0.5, 1.5, size=(d, d)))
+    other = schur_multiplier_super(np.exp(-0.4 * gen.heisenberg.kernel.real) * rng.uniform(0.5, 1.5, size=(d, d)))
     assert same_bits((s @ other).matrix, (dense @ SuperOperator(other.matrix)).matrix)
     assert np.array_equal(s.adjoint().matrix, dense.adjoint().matrix)
     assert same_bits(other.adjoint().apply(x), SuperOperator(other.matrix).adjoint().apply(x))

@@ -16,7 +16,6 @@ from entroflow.statespace import (
     rel_entropy,
     rel_hamiltonian,
     resolvent_log_approx,
-    sandwich_bound,
 )
 
 # frozen oracle: 0.25*log(0.5) + 0.75*log(1.5)
@@ -118,8 +117,9 @@ def test_balpha_factor_edge_cases():
 def test_sandwich_bound_witness():
     rho = density(np.diag([0.75, 0.25]))
     sig = density(np.diag([0.5, 0.5]))
-    assert sandwich_bound(rho, sig, 2.0).ok
-    assert not sandwich_bound(rho, sig, 1.2).ok
+    # rho lies in B_alpha(sig) exactly when balpha_factor(rho, sig) <= alpha
+    assert balpha_factor(rho, sig) <= 2.0 + 1e-9
+    assert not balpha_factor(rho, sig) <= 1.2 + 1e-9
 
 
 def test_rel_hamiltonian_commuting_and_bound():
