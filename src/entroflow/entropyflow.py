@@ -66,7 +66,7 @@ def entropy_production(gen: Generator, rho: Density, sigma: Density) -> float:
     """
     if rho.dim != gen.dim or sigma.dim != gen.dim:
         raise InputError("state dimensions do not match generator")
-    return _production(gen, rho.mat, rho.op.spectrum, sigma.mat, sigma.op.spectrum)
+    return _production(gen, rho.mat, rho.op.spectrum, sigma.mat, sigma.op.spectrum)[0]
 
 
 def _production(
@@ -75,8 +75,10 @@ def _production(
     dr: SpectralDecomposition,
     sigma_mat: np.ndarray,
     ds: SpectralDecomposition,
-) -> float:
-    """entropy_production from the matrices and decompositions of rho and sigma."""
+) -> tuple:
+    """(I, log rho - log sigma, L_*(rho)): entropy_production from the
+    matrices and decompositions of rho and sigma, with the two matrices
+    it is read off."""
     resid = _frobenius(gen.schroedinger.apply(sigma_mat))
     if resid > 1e-9 * max(1.0, _frobenius(sigma_mat)):
         raise DomainError(f"reference state is not invariant: ||L_* sigma|| = {resid:.3e}")
@@ -89,7 +91,7 @@ def _production(
     val = (lrho @ h).trace()
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise DomainError(f"entropy production came out non-real: {val:.3e}")
-    return float(val.real)
+    return float(val.real), h, lrho
 
 
 @dataclass(frozen=True)
@@ -238,14 +240,41 @@ class MlsiReport:
     samples: tuple = field(repr=False)  # the seeded states the estimate sampled
 
 
+def _dlog(dec: SpectralDecomposition, k: np.ndarray) -> np.ndarray:
+    """Derivative of log at a positive definite matrix, in direction k.
+
+    V (G * V^dag k V) V^dag for the decomposition V diag(w) V^dag of the
+    matrix, where G holds the divided differences of log on w:
+    (log w_i - log w_j) / (w_i - w_j), and 1/w_i where w_i = w_j.  As
+    log1p(x)/x / w_j with x = (w_i - w_j)/w_j, close pairs lose no digits.
+    """
+    w = dec.eigenvalues
+    v = dec.eigenvectors
+    x = (w[:, None] - w[None, :]) / w[None, :]
+    same = x == 0.0
+    x1 = np.where(same, 1.0, x)
+    g = np.where(same, 1.0, np.log1p(x1) / x1) / w[None, :]
+    return v @ (g * (v.conj().T @ k @ v)) @ v.conj().T
+
+
 def _ratio(gen: Generator, fp: FixedPointData, mat: np.ndarray):
-    """(I/D, D) of the state rho with matrix mat against sigma = E_*(rho).
+    """(I/D, D, gradient) of the state rho with matrix mat against sigma = E_*(rho).
 
     The I/D kernel of the rate estimator.  It runs the checks of
     density(mat), fp.project_state, rel_entropy and entropy_production,
     once each and with their tolerances, but decomposes rho and sigma
-    together in one batched eigh and reads D and I off those two
-    spectra.  I/D is None when D is not finite or below ENTROPY_FLOOR.
+    together in one batched eigh and reads D, I and the gradient off
+    those two spectra.  With h = log rho - log sigma and Dlog the
+    derivative of log (see _dlog), on trace-zero Hermitian directions
+
+        grad D = h - E(Dlog_sigma[rho])
+        grad I = L(h) + Dlog_rho[L_* rho] - E(Dlog_sigma[L_* rho])
+        grad (I/D) = (grad I - (I/D) grad D) / D,
+
+    with L the Heisenberg generator and E the fixed-point expectation;
+    the gradient is the Hermitian matrix G with d(I/D)[K] = tr(G K).
+    I/D and the gradient are None when D is not finite or below
+    ENTROPY_FLOOR.
     """
     rho = _hermitian_part(mat)
     sig = _hermitian_part(fp.project_matrix(rho))
@@ -258,8 +287,22 @@ def _ratio(gen: Generator, fp: FixedPointData, mat: np.ndarray):
     _density_trace(ds, sig)
     d = _rel_entropy_spectral(dr, rho_trace, ds)
     if not math.isfinite(d) or d < ENTROPY_FLOOR:
-        return None, d
-    return _production(gen, rho, dr, sig, ds) / d, d
+        return None, d, None
+    # _production refuses a state or reference that is not faithful, so past
+    # it sig is E_*(rho) itself: a clamped sig would have a zero eigenvalue
+    prod, h, lrho = _production(gen, rho, dr, sig, ds)
+    r = prod / d
+    grad = (
+        gen.heisenberg.apply(h)
+        - r * h
+        + _dlog(dr, lrho)
+        - fp.expectation.apply(_dlog(ds, lrho - r * rho))
+    ) / d
+    return r, d, (grad + grad.conj().T) / 2
+
+
+class _DomainExit(Exception):
+    """A polish step left the domain of _ratio; the restart ends there."""
 
 
 def mlsi_estimate(
@@ -274,9 +317,14 @@ def mlsi_estimate(
 
     Samples states comparable to phi, evaluates the entropy ratio
     I(rho || E_* rho) / D(rho || E_* rho), and polishes the worst case
-    with a derivative-free search over rho = A A^dag / tr(A A^dag).
-    beta_fit is the decay slope of log D along the worst-case
-    trajectory, reported alongside as a cross-check.
+    by gradient descent (L-BFGS-B with the analytic gradient of _ratio)
+    over rho = A A^dag / tr(A A^dag), blended with 1e-6 phi.  Each of
+    the restarts (the first from the worst sample, the others perturbed
+    from the best point so far) takes at most polish_budget evaluations
+    of I/D and its gradient, and ends early when L-BFGS-B converges or
+    a step leaves the states where I/D is defined.  beta_ratio is the
+    least I/D evaluated.  beta_fit is the decay slope of log D along
+    the worst-case trajectory, reported alongside as a cross-check.
     """
     if polish_budget < 1:
         raise InputError(f"polish budget must be >= 1, got {polish_budget}")
@@ -290,7 +338,7 @@ def mlsi_estimate(
     ratios = []
     skipped = 0
     violations = []
-    for idx, (r, d) in enumerate(rows):
+    for idx, (r, _, _) in enumerate(rows):
         if r is None:
             skipped += 1
             continue
@@ -307,50 +355,47 @@ def mlsi_estimate(
 
     d = gen.dim
     phi_n = phi.normalize()
-
-    def unpack(theta):
-        a = theta[: d * d].reshape(d, d) + 1j * theta[d * d :].reshape(d, d)
-        m = a @ a.conj().T
-        tr = np.trace(m).real
-        if not np.isfinite(tr) or tr <= 1e-12:
-            return None
-        m = m / tr
-        # tiny faithful blend keeps the objective inside its domain
-        m = 0.999999 * m + 1e-6 * phi_n.mat
-        return (m + m.conj().T) / 2
-
-    def objective(theta):
-        cand = unpack(theta)
-        if cand is None:
-            return 1e6
-        try:
-            r, _ = _ratio(gen, fp, cand)
-        except DomainError:
-            return 1e6
-        return r if r is not None else 1e6
-
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(sampler.count + 1)[-1])
     # seed the search at a matrix square root of the worst sample
     dec = worst.op.spectrum
     a0 = (dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0, None))) @ dec.eigenvectors.conj().T
-    theta0 = np.concatenate([a0.real.ravel(), a0.imag.ravel()])
-    best_theta, best_val = theta0, best_r
+    best_theta = np.concatenate([a0.real.ravel(), a0.imag.ravel()])
+    polished = None  # the state of best_r once a polish step undercuts the samples
+
+    def objective(theta):
+        nonlocal best_r, worst_d, polished, best_theta
+        a = theta[: d * d].reshape(d, d) + 1j * theta[d * d :].reshape(d, d)
+        m = a @ a.conj().T
+        tr = np.trace(m).real
+        if not np.isfinite(tr) or tr <= 1e-12:
+            raise _DomainExit
+        m = m / tr
+        # tiny faithful blend keeps the objective inside its domain
+        cand = 0.999999 * m + 1e-6 * phi_n.mat
+        cand = (cand + cand.conj().T) / 2
+        try:
+            r, d_cand, grad = _ratio(gen, fp, cand)
+        except DomainError:
+            raise _DomainExit from None
+        if r is None:
+            raise _DomainExit
+        if r < best_r:
+            best_r, worst_d, polished, best_theta = r, d_cand, cand, theta.copy()
+        # chain rule through rho = 0.999999 m / tr(m) + 1e-6 phi and m = A A^dag
+        grad_m = (0.999999 / tr) * (grad - np.vdot(grad, m).real * np.eye(d))
+        ga = grad_m @ a
+        return r, 2.0 * np.concatenate([ga.real.ravel(), ga.imag.ravel()])
+
     for k in range(restarts):
-        start = best_theta if k == 0 else best_theta + 0.1 * rng.normal(size=theta0.size)
-        res = scipy.optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"maxfev": polish_budget, "xatol": 1e-9, "fatol": 1e-11},
-        )
-        if res.fun < best_val:
-            best_val, best_theta = float(res.fun), res.x
-    polished = unpack(best_theta)
+        start = best_theta if k == 0 else best_theta + 0.1 * rng.normal(size=best_theta.size)
+        try:
+            scipy.optimize.minimize(
+                objective, start, jac=True, method="L-BFGS-B", options={"maxfun": polish_budget}
+            )
+        except _DomainExit:
+            pass  # best_r already holds the least I/D this restart evaluated
     if polished is not None:
-        r, d_polished = _ratio(gen, fp, polished)
-        if r is not None and r < best_r:
-            best_r, worst_d = r, d_polished
-            worst = density(polished)
+        worst = density(polished)
 
     beta_ratio = float(best_r)
 

@@ -349,8 +349,9 @@ def test_criterion_7_long_time_convergence():
     # t = 50/gap) and obey the entropy-decay trace-distance bound at
     # intermediate times with the estimated rate.
     with criterion(7, "long-time convergence to the fixed-point algebra", 30.0) as problems:
-        # the 5-dim ball model needs a longer derivative-free polish to
-        # pin the rate; the low-dim models converge with the defaults
+        # the 5-dim ball model allows 3 restarts of up to 2500 evaluations;
+        # the gradient polish stops on its own tolerance after about 100
+        # evaluations per restart here, as it does at the defaults
         polish = {"sampler": SamplerConfig(count=100), "restarts": 3, "polish_budget": 2500}
         models = (
             ("depolarizing-2", depolarizing(2), MAX_MIX_2, 71, {}),

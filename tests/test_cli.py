@@ -15,6 +15,7 @@ import entroflow
 from entroflow import cli, entropyflow
 from entroflow.cli import main
 from entroflow.errors import NumericalError
+from entroflow.groupsem import build_ball_semigroup
 
 
 def write_config(path, cfg):
@@ -373,6 +374,41 @@ def test_mlsi_run_and_worker_independence(tmp_path):
     assert r1 == r2
     report = json.loads(r1.decode())
     assert report["result"]["beta_ratio"] == pytest.approx(2.0, abs=0.05)
+
+
+def ball_mlsi_cfg(kind, rank, radius):
+    """An mlsi config for the word-length ball model as a schur generator (true rate 2)."""
+    sem = build_ball_semigroup(kind, rank, radius)
+    return {
+        "generator": {"type": "schur", "symbol": sem.gen.heisenberg.kernel.real.tolist()},
+        "phi": sem.phi.mat.real.tolist(),
+    }
+
+
+def run_mlsi(tmp_path, cfg):
+    path = write_config(tmp_path / "c.json", cfg)
+    main(["mlsi", "--config", path, "--out", str(tmp_path / "o")])
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    return report["result"]["beta_ratio"], {c["name"]: c["passed"] for c in report["checks"]}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mlsi_finds_the_coxeter_ball_rate_at_cli_defaults(tmp_path, seed):
+    beta, checks = run_mlsi(tmp_path, {**ball_mlsi_cfg("coxeter", 2, 2), "seed": seed})
+    assert beta == pytest.approx(2.0, rel=1e-3)
+    assert checks["decay_at_estimated_rate"]
+
+
+def test_mlsi_finds_the_free_ball_rate(tmp_path):
+    cfg = {
+        **ball_mlsi_cfg("free", 2, 2),
+        "sampler": {"count": 100},
+        "restarts": 2,
+        "polish_budget": 400,
+        "seed": 1,
+    }
+    beta, _ = run_mlsi(tmp_path, cfg)
+    assert beta == pytest.approx(2.0, rel=0.05)
 
 
 def test_mlsi_run_draws_samples_once(tmp_path, monkeypatch):

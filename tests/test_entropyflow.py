@@ -1,13 +1,14 @@
 """Entropy production, trajectories, and decay-rate estimation."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from entroflow import statespace
+from entroflow import entropyflow, statespace
 from entroflow.entropyflow import (
     ENTROPY_FLOOR,
     DecayReport,
@@ -19,13 +20,19 @@ from entroflow.entropyflow import (
     fm_check,
     mlsi_estimate,
     state_samples,
+    _dlog,
     _ratio,
     trajectory,
 )
 from entroflow.errors import DomainError, InputError
 from entroflow.groupsem import build_ball_semigroup
-from entroflow.matcore import HermitianOperator, herm_eig
-from entroflow.qms import fixed_point_expectation, gkls_generator, schur_generator
+from entroflow.matcore import HermitianOperator, SpectralDecomposition, herm_eig
+from entroflow.qms import (
+    fixed_point_expectation,
+    gkls_generator,
+    invariant_states,
+    schur_generator,
+)
 from entroflow.statespace import balpha_factor, density, rel_entropy, rel_hamiltonian
 
 
@@ -382,7 +389,7 @@ def test_ratio_kernel_matches_public_composition(name):
     fp = fixed_point_expectation(gen, phi)
     samples = [s.mat for s in state_samples(gen.dim, phi, SamplerConfig(count=40), seed=8)]
     mats = samples + polish_candidates(phi, np.random.default_rng(9), 40) + [phi.mat]
-    rows = [_ratio(gen, fp, m) for m in mats]
+    rows = [_ratio(gen, fp, m)[:2] for m in mats]
     assert rows == [reference_ratio(gen, fp, m) for m in mats]
     # phi is its own projection: D sits below the floor and no ratio is formed
     assert rows[-1][0] is None and rows[-1][1] < ENTROPY_FLOOR
@@ -432,8 +439,108 @@ def test_ratio_kernel_decomposes_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted(label, getattr(owner, name)))
     # the generalized eigenproblem of balpha_factor calls LAPACK zhegvd directly
     monkeypatch.setattr(statespace, "_HEGVD", counted("zhegvd", statespace._HEGVD))
-    r, _ = _ratio(gen, fp, rho_arr)
+    r, _, _ = _ratio(gen, fp, rho_arr)
     assert r is not None
     assert counts == {"numpy.linalg.eigh": 1, "numpy.linalg.eigvalsh": 1, "zhegvd": 1}
     # rho and its projection share the one batched eigh
     assert ("numpy.linalg.eigh", (2, 5, 5)) in shapes
+
+
+def nonunital_gkls(d, seed):
+    """Hamiltonian plus two Gaussian jumps, with its faithful invariant state (not 1/d)."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+    gen = gkls_generator(hamiltonian=h + h.conj().T, jumps=jumps)
+    return gen, invariant_states(gen).faithful_state
+
+
+GRADIENT_MODELS = {
+    "coxeter-2-2-d5": RATE_MODELS["coxeter-2-2-d5"],
+    "depolarizing-d3": RATE_MODELS["depolarizing-d3"],
+    "nonunital-gkls-d3": lambda: nonunital_gkls(3, 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_MODELS))
+def test_ratio_gradient_matches_central_differences(name):
+    # d(I/D)[K] = tr(G K) on trace-zero Hermitian K, against the central
+    # difference at step 1e-6, to 1e-6 of the norm of G's trace-zero part
+    gen, phi = GRADIENT_MODELS[name]()
+    fp = fixed_point_expectation(gen, phi)
+    rng = np.random.default_rng(17)
+    d = gen.dim
+    mats = [s.mat for s in state_samples(d, phi, SamplerConfig(count=8), seed=16)]
+    mats += polish_candidates(phi, rng, 8)
+    checked = 0
+    for mat in mats:
+        r, _, grad = _ratio(gen, fp, mat)
+        if r is None:
+            continue
+        k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        k = k + k.conj().T
+        k -= np.trace(k) / d * np.eye(d)
+        k /= np.linalg.norm(k)
+        step = 1e-6
+        central = (_ratio(gen, fp, mat + step * k)[0] - _ratio(gen, fp, mat - step * k)[0]) / (2 * step)
+        scale = np.linalg.norm(grad - np.trace(grad) / d * np.eye(d))
+        assert abs(np.vdot(grad, k).real - central) <= 1e-6 * scale
+        checked += 1
+    assert checked >= 12
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [(0.1, 0.3, 0.6), (1 / 3, 1 / 3, 1 / 3), (0.2, 0.2 + 1e-12, 0.6 - 1e-12)],
+    ids=["distinct", "degenerate", "close-pair"],
+)
+def test_dlog_matches_the_block_logarithm(spectrum):
+    # log [[A, K], [0, A]] = [[log A, Dlog_A[K]], [0, log A]]
+    rng = np.random.default_rng(23)
+    w = np.array(spectrum)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    a = (u * w) @ u.conj().T
+    k = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    k = k + k.conj().T
+    block = np.block([[a, k], [np.zeros((3, 3)), a]])
+    expected = scipy.linalg.logm(block)[:3, 3:]
+    got = _dlog(SpectralDecomposition(w, u), k)
+    assert np.allclose(got, expected, rtol=0, atol=1e-9 * np.linalg.norm(expected))
+
+
+def test_polish_stops_at_a_domain_exit_and_keeps_the_best_checked_point(monkeypatch):
+    gen, phi = coxeter_ball_model()
+    kernel = entropyflow._ratio
+    checked = []
+
+    def exits_once(gen_, fp, mat):
+        # the 15th evaluation of the first restart leaves the domain
+        if len(checked) == 40 + 14:
+            checked.append("exit")
+            raise DomainError("forced exit")
+        row = kernel(gen_, fp, mat)
+        checked.append(row[0])
+        return row
+
+    monkeypatch.setattr(entropyflow, "_ratio", exits_once)
+    rep = mlsi_estimate(gen, phi, SamplerConfig(count=40), seed=1, restarts=2, polish_budget=60)
+    assert checked[54] == "exit"
+    assert len(checked) > 56  # the second restart ran after the exit
+    assert rep.beta_ratio != 1e6
+    assert rep.beta_ratio in checked
+    assert rep.beta_ratio <= min(r for r in checked[:40] if r is not None)
+
+
+def test_polish_allocates_no_simplex():
+    # a Nelder-Mead simplex on the 2 d^2 = 5618 real entries of A at d = 53
+    # is 5619 x 5618 doubles, 253 MB
+    sem = build_ball_semigroup("free", 2, 3)
+    assert sem.gen.dim == 53
+    tracemalloc.start()
+    try:
+        rep = mlsi_estimate(sem.gen, sem.phi, seed=1, restarts=1, polish_budget=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.beta_ratio > 0.0
+    assert peak <= 64 * 2**20
