@@ -4,10 +4,8 @@ from .calculus import (
     cp_dominance_check,
     cp_dominance_report,
     diff_calculus,
-    dirichlet_energy,
     generator_from_calculus,
     intertwining_residual,
-    single_flip_semigroup,
 )
 from .entropyflow import (
     SamplerConfig,
@@ -30,7 +28,6 @@ from .groupsem import (
     build_ball_semigroup,
     enumerate_ball,
     left_regular_observable,
-    word_distance,
 )
 from .qms import (
     evolve,
@@ -78,7 +75,6 @@ __all__ = [
     "decay_certificate",
     "density",
     "diff_calculus",
-    "dirichlet_energy",
     "entropy_extension_check",
     "entropy_production",
     "enumerate_ball",
@@ -100,10 +96,8 @@ __all__ = [
     "rel_hamiltonian_projection_check",
     "resolvent_log_approx",
     "schur_generator",
-    "single_flip_semigroup",
     "spectral_gap",
     "state_samples",
     "subalgebra",
     "trajectory",
-    "word_distance",
 ]

@@ -89,28 +89,6 @@ def diff_calculus(rows) -> DiffCalculus:
     return DiffCalculus(rows=r)
 
 
-def derivation_apply(calc: DiffCalculus, i: int, x: np.ndarray) -> np.ndarray:
-    """delta_i(x) = [P_i, x], entrywise (v_i(g) - v_i(h)) x[g, h]."""
-    _check_flip(calc, i)
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (calc.dim, calc.dim):
-        raise InputError(f"operator shape {x.shape} does not match dimension {calc.dim}")
-    return calc.difference(i) * x
-
-
-def dirichlet_energy(calc: DiffCalculus, x: np.ndarray) -> float:
-    """sum_i tr(x^dag delta_i^dag delta_i x) / d, the trace Dirichlet form.
-
-    Equals tr(x^dag L(x)) / d for the Schur generator of the symbol.
-    """
-    d = calc.dim
-    total = 0.0
-    for i in range(calc.count):
-        dx = derivation_apply(calc, i, x)
-        total += float(np.real(np.trace(dx.conj().T @ dx)))
-    return total / d
-
-
 def generator_from_calculus(calc: DiffCalculus) -> Generator:
     return schur_generator(calc.symbol().astype(float))
 
@@ -121,15 +99,6 @@ def flip_pinch(calc: DiffCalculus, i: int) -> SuperOperator:
     _check_flip(calc, i)
     keep = 1.0 - calc.component_symbol(i).astype(float)
     return schur_multiplier_super(keep)
-
-
-def single_flip_semigroup(calc: DiffCalculus, i: int, t: float) -> SuperOperator:
-    """T^i_t = e^{-t} id + (1 - e^{-t}) Pinch_i, symbol psi_i."""
-    _check_flip(calc, i)
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    kernel = np.exp(-t * calc.component_symbol(i).astype(float))
-    return schur_multiplier_super(kernel)
 
 
 def component_kernel(calc: DiffCalculus, flips, t: float) -> np.ndarray:

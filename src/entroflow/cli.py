@@ -138,7 +138,7 @@ def _parse_density(obj, what: str) -> Density:
 
 
 def _check_dim(dim: int, what: str):
-    """Refuse a generator on more than BALL_CAP dimensions (SizeError, exit 4)."""
+    """Refuse an algebra of more than BALL_CAP dimensions (SizeError, exit 4)."""
     if dim > BALL_CAP:
         raise SizeError(f"{what} of dimension {dim} exceeds the cap of {BALL_CAP}")
 
@@ -425,6 +425,8 @@ def _run_intertwine(cfg: dict, tol: dict, outdir: pathlib.Path) -> tuple:
 
 
 def _run_subalg(cfg: dict, tol: dict, outdir: pathlib.Path) -> tuple:
+    # refused before any matrix is parsed; the pinching is a d^2 x d^2 array
+    _check_dim(subalgebra(cfg["blocks"]).dim, "subalgebra")
     spec = subalgebra(
         cfg["blocks"],
         unitary=_parse_matrix(cfg["unitary"], "unitary") if cfg.get("unitary") else None,

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DegenerateInputError, DomainError, InputError, SizeError
 from .groupsem import BALL_CAP
@@ -385,6 +384,8 @@ def mlsi_estimate(
         grad_m = (0.999999 / tr) * (grad - np.vdot(grad, m).real * np.eye(d))
         ga = grad_m @ a
         return r, 2.0 * np.concatenate([ga.real.ravel(), ga.imag.ravel()])
+
+    import scipy.optimize  # only the polish needs it: off the start-up of every other suite
 
     for k in range(restarts):
         start = best_theta if k == 0 else best_theta + 0.1 * rng.normal(size=best_theta.size)

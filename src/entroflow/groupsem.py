@@ -76,11 +76,6 @@ def word_mul(kind: str, a, b) -> tuple:
     return reduce_word(kind, tuple(a) + tuple(b))
 
 
-def word_distance(kind: str, g, h) -> int:
-    """Length distance |g h^-1| between reduced words."""
-    return len(word_mul(kind, g, word_inv(kind, h)))
-
-
 def _letters(kind: str, rank: int) -> list:
     # lex order of letters: a < a^-1 < b < b^-1 < ... (free), s1 < s2 < ... (coxeter)
     if kind == "free":

@@ -23,13 +23,13 @@ matrices.  A generator keeps nothing else: every propagator and fixed
 point is built when asked for, and a caller that applies one
 propagator to many states holds it itself.
 
-The stationary structure is the spectral projection at 0, a
-semisimple eigenvalue of a QMS generator.  For a dense generator the
-conditional expectation E onto the fixed points (fixed_point_expectation)
-and the projection onto invariant states (invariant_states) are both
-read off one SVD; for a Schur generator E is the 0/1 pattern of the
-zeros of its symbol.  phi-symmetry (gns_symmetry_residual) is checked
-on the generator itself, not on the semigroup.
+The stationary structure is the spectral projection E at 0, a
+semisimple eigenvalue of a QMS generator, built in one place: one SVD
+of a dense generator, the 0/1 pattern of the zeros of a Schur symbol.
+The conditional expectation onto the fixed points
+(fixed_point_expectation) is E itself, and the faithful invariant state
+(invariant_states) is E_*(1/d).  phi-symmetry (gns_symmetry_residual)
+is checked on the generator itself, not on the semigroup.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ from .matcore import (
     is_herm_preserving,
     mat_fn,
     schur_multiplier_super,
-    unvec,
-    vec,
 )
 from .statespace import Density
 
@@ -236,20 +234,20 @@ def _clamped_density(out: np.ndarray, what: str) -> Density:
     return Density(h if clamped is h.mat else HermitianOperator(clamped))
 
 
-def _spectral_projection_zero(m: np.ndarray, empty: str):
-    """Projection onto ker(m) along ran(m), and an orthonormal basis of ker(m).
+def _spectral_projection_zero(m: np.ndarray) -> np.ndarray:
+    """Projection onto ker(m) along ran(m).
 
     One SVD m = U S V^dag gives both kernels: the trailing columns of V
     span ker(m), those of U span ker(m^dag).  With v and w those bases,
     the projection is v (w^dag v)^-1 w^dag, which needs 0 to be a
     semisimple eigenvalue: w^dag v is singular exactly when it is
-    defective.  An empty kernel raises NumericalError with message empty.
+    defective.  An empty kernel raises NumericalError.
     """
     u, s, vh = np.linalg.svd(m)
     # svd lists singular values descending; the kernel is the trailing block
     k = int((s <= 1e-10 * max(s.max(initial=0.0), 1.0)).sum())
     if k == 0:
-        raise NumericalError(empty)
+        raise NumericalError("generator has no fixed points")
     v = vh[-k:].conj().T
     w = u[:, -k:]
     try:
@@ -260,65 +258,39 @@ def _spectral_projection_zero(m: np.ndarray, empty: str):
     # widest angle between the two kernels, unbounded as 0 turns defective
     if x is None or not np.linalg.norm(x) < 1e8:
         raise NumericalError("zero eigenvalue of the generator is defective")
-    return v @ x, v
+    return v @ x
 
 
-@dataclass(frozen=True)
-class InvariantStates:
-    """Stationary structure of a semigroup in the Schroedinger picture."""
+def _fixed_point_projection(heis: SuperOperator) -> SuperOperator:
+    """E, the spectral projection of L at 0: onto ker(L) along ran(L).
 
-    hermitian_basis: tuple  # orthonormal Hermitian kernel basis (arrays)
-    faithful_exists: bool
-    faithful_state: Density | None
-
-
-def _hermitian_frame(d: int) -> np.ndarray:
-    """Unitary whose columns are vec of a trace-orthonormal basis of Hermitian matrices.
-
-    Column j*d+i belongs to the matrix unit E_ij: E_ii itself, and for
-    i < j (E_ij + E_ji)/sqrt(2), for i > j i(E_ij - E_ji)/sqrt(2).  A
-    superoperator that preserves Hermiticity is real in this frame.
+    A Schur L is diagonal, so E is the Schur multiplier of the 0/1
+    pattern |psi| <= 1e-10 * max(max |psi|, 1), the cutoff that the SVD
+    route puts on the singular values; a dense L goes through
+    _spectral_projection_zero.  Its adjoint E_* is the projection of L_*.
     """
-    t = np.zeros((d * d, d * d), dtype=complex)
-    r = 1 / np.sqrt(2)
-    for i in range(d):
-        for j in range(d):
-            c, c_t = j * d + i, i * d + j  # vec indices of E_ij and E_ji
-            if i == j:
-                t[c, c] = 1.0
-            elif i < j:
-                t[c, c] = t[c_t, c] = r
-            else:
-                t[c, c], t[c_t, c] = 1j * r, -1j * r
-    return t
+    if heis.kernel is None:
+        return SuperOperator._owned(_spectral_projection_zero(heis.matrix))
+    size = np.abs(heis.kernel)
+    pattern = size <= 1e-10 * max(size.max(initial=0.0), 1.0)
+    if not pattern.any():
+        raise NumericalError("generator has no fixed points")
+    return schur_multiplier_super(pattern)
 
 
-def invariant_states(gen: Generator) -> InvariantStates:
-    """Orthonormal Hermitian basis of ker(L_*), and the faithful invariant state if any.
+def invariant_states(gen: Generator) -> Density | None:
+    """The faithful invariant state E_*(1/d), or None if there is none.
 
-    L_* preserves Hermiticity, so in the Hermitian frame it is a real
-    matrix whose kernel is exactly the Hermitian part of ker(L_*): one
-    SVD gives an orthonormal Hermitian basis of it and the projection
-    E_* that carries 1/d to the faithful mean.
+    E_* is positive and fixes every invariant state sigma, so sigma =
+    E_* sigma <= d ||sigma|| E_*(1/d): a faithful invariant state exists
+    exactly when E_*(1/d) is faithful (least eigenvalue above 1e-10).
     """
     d = gen.dim
-    t = _hermitian_frame(d)
-    l_real = (t.conj().T @ gen.schroedinger.matrix @ t).real
-    proj, kern = _spectral_projection_zero(
-        l_real, "trace-preserving semigroup lost its stationary state"
-    )
-    herm_basis = [unvec(t @ c, d) for c in kern.T]
-    # the frame keeps E_ii, so 1/d has the same coordinates in it
-    mean = unvec(t @ (proj @ vec(np.eye(d) / d)), d)
-    faithful = float(np.linalg.eigvalsh(mean)[0]) > 1e-10
-    faithful_state = None
-    if faithful:
-        faithful_state = Density(HermitianOperator(mean / np.trace(mean).real))
-    return InvariantStates(
-        hermitian_basis=tuple(herm_basis),
-        faithful_exists=faithful,
-        faithful_state=faithful_state,
-    )
+    mean = _fixed_point_projection(gen.heisenberg).adjoint().apply(np.eye(d) / d)
+    mean = (mean + mean.conj().T) / 2
+    if float(np.linalg.eigvalsh(mean)[0]) <= 1e-10:
+        return None
+    return Density(HermitianOperator(mean / np.trace(mean).real))
 
 
 def _weigh(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -344,10 +316,6 @@ def gns_symmetry_residual(gen: Generator, phi: Density) -> float:
         raise InputError("state dimension does not match generator")
     fl = _weigh(phi.mat, gen.heisenberg.matrix)
     return float(np.abs(fl.conj().T - fl).max())
-
-
-def is_gns_symmetric(gen: Generator, phi: Density) -> bool:
-    return gns_symmetry_residual(gen, phi) <= 1e-8
 
 
 @dataclass(frozen=True)
@@ -410,12 +378,9 @@ def fixed_point_expectation(gen: Generator, phi: Density) -> FixedPointData:
 
     phi must be a faithful invariant state.  0 is a semisimple
     eigenvalue of the generator of a QMS, so E is the spectral
-    projection onto ker(L) along ran(L).  For a dense L one SVD gives
-    ker(L) and ker(L^dag), and E = v (w^dag v)^-1 w^dag (see
-    _spectral_projection_zero).  A Schur generator is diagonal, so E =
-    E_* is the Schur multiplier of the 0/1 pattern |psi| <= 1e-10 *
-    max(max |psi|, 1), the cutoff that route puts on the singular
-    values.  E is then checked: idempotent, unital, CP, absorbing P_t
+    projection onto ker(L) along ran(L) (see _fixed_point_projection):
+    one SVD of a dense L, the 0/1 pattern of the zeros of a Schur
+    symbol.  E is then checked: idempotent, unital, CP, absorbing P_t
     on both sides and preserving phi, or NumericalError is raised.  For
     a phi-symmetric semigroup E is orthogonal in <x,y> = tr(phi x^dag y).
     E is built, and checked, on every call.
@@ -428,16 +393,7 @@ def fixed_point_expectation(gen: Generator, phi: Density) -> FixedPointData:
     if resid > 1e-8 * max(1.0, np.linalg.norm(phi.mat)):
         raise DomainError(f"reference state is not invariant: ||L_* phi|| = {resid:.3e}")
 
-    heis = gen.heisenberg
-    if heis.kernel is not None:
-        size = np.abs(heis.kernel)
-        pattern = size <= 1e-10 * max(size.max(initial=0.0), 1.0)
-        if not pattern.any():
-            raise NumericalError("generator has no fixed points")
-        e = schur_multiplier_super(pattern)
-    else:
-        e_mat, _ = _spectral_projection_zero(heis.matrix, "generator has no fixed points")
-        e = SuperOperator._owned(e_mat)
+    e = _fixed_point_projection(gen.heisenberg)
     fp = FixedPointData(expectation=e, predual=e.adjoint(), phi=phi)
     _validate_expectation(fp, gen)
     return fp
@@ -454,7 +410,7 @@ def spectral_gap(gen: Generator, phi: Density) -> float:
     """
     if not phi.is_faithful():
         raise DomainError("reference state must be faithful")
-    if not is_gns_symmetric(gen, phi):
+    if gns_symmetry_residual(gen, phi) > 1e-8:
         raise DomainError("spectral gap requires a state-symmetric semigroup")
     root = mat_fn(phi.op, np.sqrt)
     root_inv = mat_fn(phi.op, lambda x: 1 / np.sqrt(x))

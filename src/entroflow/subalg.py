@@ -201,6 +201,8 @@ def martingale_entropy_check(specs, rho: Density, sigma: Density) -> MartingaleR
     specs = list(specs)
     if len(specs) < 2:
         raise InputError("need at least two nested subalgebras")
+    if any(s.dim != rho.dim for s in specs):
+        raise InputError("subalgebra dimensions do not match the state")
     pinches = [conditional_expectation(s) for s in specs]
     for a, b in zip(pinches, pinches[1:]):
         fine_then_coarse = (a @ b).matrix
@@ -245,10 +247,9 @@ def chain_rule_check(
     """
     if psi.dim != gen.dim:
         raise InputError("state dimension does not match the generator")
-    inv = invariant_states(gen)
-    if not inv.faithful_exists:
+    sigma = invariant_states(gen)
+    if sigma is None:
         raise DomainError("generator has no faithful invariant state")
-    sigma = inv.faithful_state
     if psi_n is None:
         if n < 1:
             raise InputError(f"resolvent order must be >= 1, got {n}")

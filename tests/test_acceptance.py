@@ -130,11 +130,10 @@ def test_criterion_1_entropy_derivative_matches_production():
                 math.sqrt(0.5) * haar_unitary(rng, d),
             ]
             gen = gkls_generator(hamiltonian=ham, jumps=jumps, dim=d)
-            inv = invariant_states(gen)
-            if not inv.faithful_exists:
+            sigma = invariant_states(gen)
+            if sigma is None:
                 problems.append(f"generator {k}: no faithful invariant state")
                 continue
-            sigma = inv.faithful_state
             rho0 = density(0.5 * ginibre_density(rng, d) + 0.5 * sigma.mat)
             alpha = balpha_factor(rho0, sigma)
             if alpha is None or alpha > 5.0:

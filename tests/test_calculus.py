@@ -7,17 +7,13 @@ from entroflow.calculus import (
     component_kernel,
     cp_dominance_check,
     cp_dominance_report,
-    derivation_apply,
     diff_calculus,
-    dirichlet_energy,
     flip_pinch,
-    generator_from_calculus,
     intertwining_residual,
-    single_flip_semigroup,
 )
 from entroflow.errors import DomainError, InputError, SizeError
 from entroflow.groupsem import ball_calculus, build_ball_semigroup
-from entroflow.matcore import choi_matrix, min_eig
+from entroflow.matcore import choi_matrix, min_eig, schur_multiplier_super
 from entroflow.qms import gkls_generator, schur_generator
 
 
@@ -52,28 +48,19 @@ def test_derivation_is_commutator():
     calc = small_calc()
     x = np.arange(9, dtype=complex).reshape(3, 3)
     p = np.diag([0.0, 1.0, 0.0]).astype(complex)
-    assert np.array_equal(derivation_apply(calc, 0, x), p @ x - x @ p)
-    with pytest.raises(InputError):
-        derivation_apply(calc, 5, x)
+    assert np.array_equal(calc.difference(0) * x, p @ x - x @ p)
     calc, _ = ball_calc("coxeter", 3, 2)
     rng = np.random.default_rng(11)
     d = calc.dim
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     for i in range(calc.count):
         p = np.diag(calc.rows[i]).astype(complex)
-        assert np.array_equal(derivation_apply(calc, i, x), p @ x - x @ p)
+        assert np.array_equal(calc.difference(i) * x, p @ x - x @ p)
 
 
-def test_dirichlet_energy_matches_generator_pairing():
-    calc, _ = ball_calc("coxeter", 2, 2)
-    gen = generator_from_calculus(calc)
-    rng = np.random.default_rng(2)
-    d = calc.dim
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    energy = dirichlet_energy(calc, x)
-    pairing = np.trace(x.conj().T @ gen.heisenberg.apply(x)).real / d
-    assert energy == pytest.approx(pairing, rel=1e-12)
-    assert energy > 0
+def flip_semigroup(calc, i, t):
+    """T^i_t, the Schur multiplier exp(-t psi_i)."""
+    return schur_multiplier_super(np.exp(-t * calc.component_symbol(i)))
 
 
 def test_flip_pinch_is_cp_projection():
@@ -88,7 +75,7 @@ def test_flip_pinch_is_cp_projection():
 def test_single_flip_interpolates_pinch():
     calc = small_calc()
     t = 0.7
-    flip = single_flip_semigroup(calc, 0, t)
+    flip = flip_semigroup(calc, 0, t)
     pinch = flip_pinch(calc, 0)
     ident = np.eye(9)
     expected = np.exp(-t) * ident + (1 - np.exp(-t)) * pinch.matrix
@@ -98,7 +85,7 @@ def test_single_flip_interpolates_pinch():
 def test_flip_factors_commute_and_compose_to_semigroup():
     calc, sem = ball_calc("coxeter", 3, 2)
     t = 0.4
-    flips = [single_flip_semigroup(calc, i, t) for i in range(calc.count)]
+    flips = [flip_semigroup(calc, i, t) for i in range(calc.count)]
     a = (flips[0] @ flips[1]).matrix
     b = (flips[1] @ flips[0]).matrix
     assert np.array_equal(a, b)

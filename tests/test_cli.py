@@ -245,8 +245,18 @@ def test_generator_above_the_ball_cap_exits_4_before_allocating(tmp_path, kind):
     assert "Traceback" not in proc.stderr
 
 
+def test_subalgebra_above_the_ball_cap_exits_4_before_allocating(tmp_path):
+    """blocks summing to 70 are refused before the (70^2 x 70^2) pinching is built."""
+    flat = (np.eye(70) / 70).tolist()
+    proc = run_capped(tmp_path, "subalg", {"blocks": [35, 35], "state": flat, "sigma": flat})
+    assert proc.returncode == 4, proc.stderr
+    assert "subalgebra of dimension 70 exceeds the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_every_generator_type_is_capped_by_dimension(tmp_path, capsys, monkeypatch):
-    """gkls, schur and matrix generators one dimension above the cap exit 4; one at the cap runs."""
+    """gkls, schur and matrix generators and subalgebras one dimension above the cap exit 4;
+    one at the cap runs."""
     dep3 = depolarizing_cfg(3)
     dep3_matrix = cli._parse_generator(dep3).heisenberg.matrix
     monkeypatch.setattr(cli, "BALL_CAP", 2)
@@ -261,6 +271,26 @@ def test_every_generator_type_is_capped_by_dimension(tmp_path, capsys, monkeypat
         assert f"{kind} generator of dimension 3 exceeds the cap of 2" in capsys.readouterr().err
     cfg = {**MLSI_CFG, "restarts": 0}
     assert main(["mlsi", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]) in (0, 1)
+    # the unitary is parsed after the cap check: a bad one above the cap still exits 4
+    cfg = {"blocks": [2, 1], "unitary": "not a matrix", "state": (np.eye(3) / 3).tolist()}
+    assert main(["subalg", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "subalgebra of dimension 3 exceeds the cap of 2" in capsys.readouterr().err
+    cfg = {"blocks": [1, 1], "state": [[0.6, 0.0], [0.0, 0.4]], "sigma": [[0.5, 0.0], [0.0, 0.5]]}
+    assert main(["subalg", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]) in (0, 1)
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    """Only the rate polish uses scipy.optimize; it is imported there, not at start-up."""
+    code = "import sys, entroflow.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(entroflow.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_report_serializer_writes_numpy_values_in_one_pass():

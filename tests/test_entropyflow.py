@@ -452,7 +452,7 @@ def nonunital_gkls(d, seed):
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
     gen = gkls_generator(hamiltonian=h + h.conj().T, jumps=jumps)
-    return gen, invariant_states(gen).faithful_state
+    return gen, invariant_states(gen)
 
 
 GRADIENT_MODELS = {

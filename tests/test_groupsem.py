@@ -11,7 +11,6 @@ from entroflow.groupsem import (
     enumerate_ball,
     left_regular_observable,
     reduce_word,
-    word_distance,
     word_inv,
     word_mul,
 )
@@ -31,15 +30,6 @@ def test_coxeter_reduction_and_involution():
     w = (1, 2, 1)
     assert word_inv("coxeter", w) == w
     assert word_mul("coxeter", w, w) == ()
-
-
-def test_word_distance_values():
-    # a vs b: a b^-1 has length 2; a b vs b: (a b) b^-1 = a
-    assert word_distance("free", (1,), (2,)) == 2
-    assert word_distance("free", (1,), (-1,)) == 2
-    assert word_distance("free", (1, 2), (2,)) == 1
-    assert word_distance("coxeter", (1, 2), (2,)) == 1
-    assert word_distance("free", (1, 2), (1, 2)) == 0
 
 
 def test_ball_counts():

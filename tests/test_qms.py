@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +9,16 @@ import scipy.sparse.linalg
 from entroflow.entropyflow import decay_certificate
 from entroflow.errors import DomainError, InputError, NumericalError
 from entroflow.groupsem import build_ball_semigroup
-from entroflow.matcore import trace_norm
+from entroflow.matcore import trace_norm, unvec, vec
 from entroflow.qms import (
     _evolved_density,
+    _fixed_point_projection,
     _spectral_projection_zero,
     evolve,
     fixed_point_expectation,
     gkls_generator,
     gns_symmetry_residual,
     invariant_states,
-    is_gns_symmetric,
     raw_generator,
     schur_generator,
     spectral_gap,
@@ -100,32 +101,31 @@ def test_raw_accepts_genuine_generator():
 
 
 def test_invariant_states_depolarizing():
-    inv = invariant_states(depolarizing(3))
-    assert len(inv.hermitian_basis) == 1
-    assert inv.faithful_exists
-    assert np.allclose(inv.faithful_state.mat, np.eye(3) / 3, atol=1e-10)
+    phi = invariant_states(depolarizing(3))
+    assert phi is not None
+    assert np.allclose(phi.mat, np.eye(3) / 3, atol=1e-10)
 
 
 def test_invariant_states_schur_diagonal():
     # strictly positive off-diagonal symbol: invariant states = all diagonal states
     psi = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    inv = invariant_states(schur_generator(psi))
-    assert len(inv.hermitian_basis) == 3
-    assert inv.faithful_exists
-    # an orthonormal basis of the diagonal matrices, each one Hermitian
-    gram = [[np.trace(a.conj().T @ b) for b in inv.hermitian_basis] for a in inv.hermitian_basis]
-    assert np.allclose(gram, np.eye(3), atol=1e-12)
-    for h in inv.hermitian_basis:
-        assert np.allclose(h, np.diag(np.diag(h).real), atol=1e-12)
+    gen = schur_generator(psi)
+    phi = invariant_states(gen)
+    assert phi is not None
+    assert np.allclose(phi.mat, np.eye(3) / 3, atol=1e-12)
+    # E_* keeps the diagonal of every matrix and kills the rest, entrywise
+    e_star = _fixed_point_projection(gen.heisenberg).adjoint()
+    assert e_star.kernel is not None
+    x = np.random.default_rng(5).normal(size=(3, 3))
+    assert np.array_equal(e_star.apply(x), np.diag(np.diag(x)).astype(complex))
 
 
 def test_invariant_states_amplitude_damping_not_faithful():
     gen = gkls_generator(jumps=[np.array([[0, 1], [0, 0]], dtype=complex)])
-    inv = invariant_states(gen)
-    assert not inv.faithful_exists
-    assert len(inv.hermitian_basis) == 1
-    h = inv.hermitian_basis[0]
-    assert np.allclose(h / np.trace(h).real, np.diag([1.0, 0.0]), atol=1e-10)
+    assert invariant_states(gen) is None
+    # the one invariant state is the pure ground state
+    mean = _fixed_point_projection(gen.heisenberg).adjoint().apply(np.eye(2) / 2)
+    assert np.allclose(mean, np.diag([1.0, 0.0]), atol=1e-10)
 
 
 def test_gns_symmetry_classification():
@@ -210,10 +210,9 @@ def test_fixed_point_expectation_cesaro_route():
     jump = np.array([[0.3, 1.1], [0.4, -0.2]], dtype=complex)
     jump2 = np.array([[0.0, 0.2], [0.9, 0.1]], dtype=complex)
     gen = gkls_generator(hamiltonian=np.array([[0.5, 0.2], [0.2, -0.1]]), jumps=[jump, jump2])
-    inv = invariant_states(gen)
-    assert inv.faithful_exists
-    phi = inv.faithful_state
-    assert not is_gns_symmetric(gen, phi)
+    phi = invariant_states(gen)
+    assert phi is not None
+    assert gns_symmetry_residual(gen, phi) > 1e-8
     fp = fixed_point_expectation(gen, phi)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -280,8 +279,8 @@ def test_fixed_point_matches_cesaro_mean_on_random_gkls(d, seed, unital):
         gen, phi = random_unital_gkls(d, seed), density(np.eye(d) / d)
     else:
         gen = random_gkls(d, seed)
-        phi = invariant_states(gen).faithful_state
-    assert not is_gns_symmetric(gen, phi)
+        phi = invariant_states(gen)
+    assert gns_symmetry_residual(gen, phi) > 1e-8
     fp = fixed_point_expectation(gen, phi)
     assert np.allclose(fp.expectation.matrix, cesaro_expectation(gen), rtol=0, atol=1e-8)
 
@@ -303,7 +302,7 @@ SYMMETRIC_MODELS = {
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_MODELS))
 def test_fixed_point_matches_weighted_eigh_on_symmetric_models(name):
     gen, phi = SYMMETRIC_MODELS[name]()
-    assert is_gns_symmetric(gen, phi)
+    assert gns_symmetry_residual(gen, phi) <= 1e-8
     fp = fixed_point_expectation(gen, phi)
     ref = weighted_eigh_expectation(gen, phi)
     assert np.allclose(fp.expectation.matrix, ref, rtol=0, atol=1e-10)
@@ -333,6 +332,65 @@ def test_stationary_structure_takes_one_svd(monkeypatch):
     assert calls == [(9, 9)]
 
 
+def hermitian_frame_invariant_state(gen):
+    """Oracle: E_*(1/d) by the frame route, or None if it is not faithful.
+
+    In a trace-orthonormal basis of Hermitian matrices (column j*d+i
+    from E_ij: E_ii, (E_ij + E_ji)/sqrt(2) for i < j, i(E_ij - E_ji)/sqrt(2)
+    for i > j), L_* is a real d^2 x d^2 matrix; its spectral projection
+    at 0, from a real SVD, carries 1/d to the faithful mean.
+    """
+    d = gen.dim
+    frame = np.zeros((d * d, d * d), dtype=complex)
+    r = 1 / np.sqrt(2)
+    for i in range(d):
+        for j in range(d):
+            c, c_t = j * d + i, i * d + j
+            if i == j:
+                frame[c, c] = 1.0
+            elif i < j:
+                frame[c, c] = frame[c_t, c] = r
+            else:
+                frame[c, c], frame[c_t, c] = 1j * r, -1j * r
+    l_real = (frame.conj().T @ gen.schroedinger.matrix @ frame).real
+    mean = unvec(frame @ (_spectral_projection_zero(l_real) @ vec(np.eye(d) / d)), d)
+    if np.linalg.eigvalsh(mean)[0] <= 1e-10:
+        return None
+    return mean / np.trace(mean).real
+
+
+FRAME_MODELS = {
+    **{f"unital-d{d}": (lambda d=d: random_unital_gkls(d, 30 + d)) for d in range(2, 7)},
+    **{f"gkls-d{d}": (lambda d=d: random_gkls(d, 40 + d)) for d in range(2, 7)},
+    "coxeter-2-2": lambda: build_ball_semigroup("coxeter", 2, 2).gen,
+    "amplitude-damping": lambda: gkls_generator(jumps=[np.array([[0, 1], [0, 0]], dtype=complex)]),
+}
+
+
+@pytest.mark.parametrize("name", list(FRAME_MODELS))
+def test_invariant_state_matches_the_hermitian_frame_route(name):
+    gen = FRAME_MODELS[name]()
+    phi = invariant_states(gen)
+    ref = hermitian_frame_invariant_state(gen)
+    if name == "amplitude-damping":
+        assert phi is None and ref is None
+        return
+    assert np.abs(phi.mat - ref).max() <= 1e-12
+
+
+def test_invariant_state_of_a_large_ball_stays_on_its_kernel():
+    """free(2) radius 3 (d = 53): no d^2 x d^2 array, which alone would take 126 MB."""
+    gen = build_ball_semigroup("free", 2, 3).gen
+    tracemalloc.start()
+    try:
+        phi = invariant_states(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    assert np.allclose(phi.mat, np.eye(53) / 53, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: random_gkls(3, 14), lambda: build_ball_semigroup("coxeter", 2, 2).gen],
@@ -341,7 +399,7 @@ def test_stationary_structure_takes_one_svd(monkeypatch):
 def test_generator_keeps_nothing_but_its_fields(make):
     gen = make()
     fields = {f.name for f in dataclasses.fields(gen)}
-    phi = invariant_states(gen).faithful_state
+    phi = invariant_states(gen)
     rho = random_state(gen.dim, 3)
     gen.semigroup(0.4)
     evolve(gen, rho, 0.4)
@@ -354,12 +412,11 @@ def test_generator_keeps_nothing_but_its_fields(make):
 def test_spectral_projection_zero_rejects_defective_and_empty_kernels():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NumericalError, match="defective"):
-        _spectral_projection_zero(jordan, "no kernel")
-    with pytest.raises(NumericalError, match="no kernel"):
-        _spectral_projection_zero(np.eye(2), "no kernel")
-    proj, kern = _spectral_projection_zero(np.diag([0.0, 1.0]), "no kernel")
+        _spectral_projection_zero(jordan)
+    with pytest.raises(NumericalError, match="no fixed points"):
+        _spectral_projection_zero(np.eye(2))
+    proj = _spectral_projection_zero(np.diag([0.0, 1.0]))
     assert np.allclose(proj, np.diag([1.0, 0.0]), atol=1e-15)
-    assert kern.shape == (2, 1)
 
 
 def test_fixed_point_expectation_requires_invariant_phi():

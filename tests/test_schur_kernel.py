@@ -115,7 +115,7 @@ def test_pattern_fixed_point_is_the_svd_projection(name):
     fp = fixed_point_expectation(gen, phi)
     assert fp.expectation.kernel is not None and fp.predual.kernel is not None
     # oracle: the spectral projection at 0 of the materialised generator
-    proj, _ = _spectral_projection_zero(gen.heisenberg.matrix, "no fixed points")
+    proj = _spectral_projection_zero(gen.heisenberg.matrix)
     assert np.array_equal(fp.expectation.matrix, proj)
     assert np.array_equal(fp.predual.matrix, proj.conj().T)
     x = random_matrix(np.random.default_rng(d), d)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entroflow import subalg
 from entroflow.errors import DomainError, InputError
 from entroflow.qms import gkls_generator, schur_generator
 from entroflow.statespace import density, rel_entropy
@@ -154,6 +155,21 @@ def test_martingale_rejects_non_nested():
         martingale_entropy_check(
             [subalgebra((2, 2)), subalgebra((1, 1, 1, 1))],
             random_state(4, 22),
+            density(np.eye(4, dtype=complex) / 4),
+        )
+
+
+def test_martingale_rejects_a_level_of_another_dimension_before_pinching(monkeypatch):
+    """A level's pinching is a d^2 x d^2 array, so its dimension is checked first."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("pinching built before the dimension check")
+
+    monkeypatch.setattr(subalg, "conditional_expectation", unreachable)
+    with pytest.raises(InputError, match="dimensions"):
+        martingale_entropy_check(
+            [subalgebra((1, 1, 1, 1)), subalgebra((2, 3))],
+            random_state(4, 24),
             density(np.eye(4, dtype=complex) / 4),
         )
 
