@@ -36,7 +36,7 @@ from .matcore import (
     _hermitian_part,
     herm_eig_batch,
 )
-from .qms import FixedPointData, Generator, _evolved_density, evolve, fixed_point_expectation
+from .qms import FixedPointData, Generator, _evolve_along, _evolved_density, fixed_point_expectation
 from .statespace import (
     Density,
     _balpha_spectral,
@@ -109,7 +109,8 @@ class TrajectoryRecord:
 def trajectory(gen: Generator, rho0: Density, sigma: Density, t_grid) -> TrajectoryRecord:
     """Evaluate (D, I, alpha) along the evolution at the given times.
 
-    Only rho0 is evolved, once per node (see evolve).
+    rho0 is evolved once along the grid, each node's state one step from
+    the node before it (see qms._evolve_along).
     """
     ts = np.asarray(t_grid, dtype=float)
     if (
@@ -121,8 +122,7 @@ def trajectory(gen: Generator, rho0: Density, sigma: Density, t_grid) -> Traject
     ):
         raise InputError("t_grid must be a strictly increasing, finite, nonnegative sequence")
     ds, is_, als = [], [], []
-    for t in ts:
-        rt = evolve(gen, rho0, float(t))
+    for rt in _evolve_along(gen, rho0, ts):
         ds.append(rel_entropy(rt, sigma))
         is_.append(entropy_production(gen, rt, sigma))
         als.append(balpha_factor(rt, sigma) or math.inf)
@@ -140,26 +140,24 @@ def trajectory(gen: Generator, rho0: Density, sigma: Density, t_grid) -> Traject
 def debruijn_residual(record: TrajectoryRecord, h: float = 1e-4) -> float:
     """Max |dD/dt + I| over the trajectory nodes.
 
-    The derivative is a difference quotient of D between two fresh
-    evolutions of rho0, to t + h and to max(t - h, 0): a second-order
-    central difference at every node with t >= h, and a one-sided,
-    first-order one at a node closer than h to 0.  The residual thus
-    measures the identity d/dt D = -I rather than the grid resolution.
-    h must be positive and finite.  Each evolution is one evolve call.
+    The derivative is a difference quotient of D between the states at
+    t + h and at max(t - h, 0): a second-order central difference at
+    every node with t >= h, and a one-sided, first-order one at a node
+    closer than h to 0.  The residual thus measures the identity
+    d/dt D = -I rather than the grid resolution.  h must be positive and
+    finite.  rho0 is evolved once along the sorted union of those times
+    (see qms._evolve_along).
     """
     if not 0 < h < math.inf:
         raise DomainError(f"step must be positive and finite, got {h}")
-    gen, rho0, sigma = record.gen, record.rho0, record.sigma
-    worst = 0.0
-    for t, prod in zip(record.times, record.productions):
-        t = float(t)
-        lo = max(t - h, 0.0)
-        hi = t + h
-        d_hi = rel_entropy(evolve(gen, rho0, hi), sigma)
-        d_lo = rel_entropy(evolve(gen, rho0, lo), sigma)
-        deriv = (d_hi - d_lo) / (hi - lo)
-        worst = max(worst, abs(deriv + prod))
-    return worst
+    sigma = record.sigma
+    ts = np.asarray(record.times, dtype=float)
+    lo = np.maximum(ts - h, 0.0)
+    hi = ts + h
+    states = _evolve_along(record.gen, record.rho0, np.concatenate([lo, hi]))
+    d = np.array([rel_entropy(s, sigma) for s in states])
+    deriv = (d[lo.size :] - d[: lo.size]) / (hi - lo)
+    return float(np.abs(deriv + record.productions).max(initial=0.0))
 
 
 # The fixed sample mix: a quarter near-pure states, a quarter Dirichlet
@@ -410,8 +408,8 @@ def mlsi_estimate(
     horizon = 3.0 / max(beta_ratio, 0.1)
     ts = np.linspace(0.0, horizon, 12)
     logd, used_t = [], []
-    for t in ts:
-        dv = rel_entropy(evolve(gen, fit_state, float(t)), sig)
+    for t, state in zip(ts, _evolve_along(gen, fit_state, ts)):
+        dv = rel_entropy(state, sig)
         if math.isfinite(dv) and dv > ENTROPY_FLOOR:
             logd.append(math.log(dv))
             used_t.append(t)
@@ -436,18 +434,21 @@ def fm_check(gen: Generator, rho: Density, phi: Density, beta: float, t_grid) ->
 
     Returns max over the grid of I(rho_t || E_* rho) - e^{-beta t} *
     I(rho_0 || E_* rho); nonpositive (within tolerance) certifies
-    production monotonicity at rate beta for this state.
+    production monotonicity at rate beta for this state.  The grid may
+    be in any order and repeat times: rho is evolved once along it in
+    ascending order (see qms._evolve_along), and a negative or
+    non-finite time raises before any exponential.
     """
+    ts = np.asarray(t_grid, dtype=float)
+    states = _evolve_along(gen, rho, ts)  # first: it checks the grid before any exponential
     fp = fixed_point_expectation(gen, phi)
     sig = fp.project_state(rho)
     if not sig.is_faithful():
         raise DomainError("projected reference is not faithful for this state")
     i0 = entropy_production(gen, rho, sig)
     worst = -math.inf
-    for t in np.asarray(t_grid, dtype=float):
-        if t < 0:
-            raise DomainError("t_grid must be nonnegative")
-        it = entropy_production(gen, evolve(gen, rho, float(t)), sig)
+    for t, state in zip(ts, states):
+        it = entropy_production(gen, state, sig)
         worst = max(worst, it - math.exp(-beta * t) * i0)
     return worst
 

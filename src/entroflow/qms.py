@@ -187,24 +187,68 @@ def raw_generator(matrix) -> Generator:
 def evolve(gen: Generator, rho: Density, t: float) -> Density:
     """Schroedinger evolution of a state: exp(-t L_*) rho.
 
-    When t * ||L_*||_1 is at most d^2, the side of L_*, it applies the
-    exponential to rho alone (expm_action); a longer time, where one
+    The exponential is applied by _propagated: to rho alone
+    (expm_action) while t * ||L_*||_1 is at most d^2, the side of L_*,
+    and through the propagator gen.presemigroup(t) past that, where one
     scaling-and-squaring exponential is cheaper than the series on the
-    vector, applies the propagator gen.presemigroup(t).  Neither is
-    kept.  Postconditions (see _evolved_density): trace preserved
-    within 1e-10 (relative), output PSD within -1e-9 (slightly negative
-    eigenvalues are clamped and logged).
+    vector.  Neither is kept.  Postconditions (see _evolved_density):
+    trace preserved within 1e-10 (relative), output PSD within -1e-9
+    (slightly negative eigenvalues are clamped and logged).  A grid of
+    times goes through _evolve_along, which evolves the state once.
     """
     if rho.dim != gen.dim:
         raise InputError("state dimension does not match generator")
     if t < 0:
         raise DomainError(f"semigroup time must be >= 0, got {t}")
-    s = gen.schroedinger
-    # ||L_*||_1, the largest absolute column sum; on a diagonal, max |psi|
-    norm1 = np.abs(s.matrix).sum(axis=0).max() if s.kernel is None else np.abs(s.kernel).max()
+    return _evolved_density(rho, _propagated(gen, rho.mat, t, _norm1(gen.schroedinger)))
+
+
+def _evolve_along(gen: Generator, rho0: Density, times) -> list:
+    """[exp(-t L_*) rho0 for t in times], in the order given.
+
+    The times are taken in ascending order and each state is one step
+    of t_k - t_{k-1} from the state before it, so the time evolved
+    adds up to max(times), not to their sum.  Each step takes evolve's
+    route (_propagated) and evolve's PSD clamp; its trace is checked
+    against rho0's, not the previous state's, so rounding cannot drift
+    along the chain past evolve's 1e-10.  A repeated time shares its
+    state, and the state at time 0 is rho0 itself.  Every time must be
+    finite (else InputError) and nonnegative (else DomainError); both
+    are checked before any exponential.
+    """
+    if rho0.dim != gen.dim:
+        raise InputError("state dimension does not match generator")
+    ts = np.asarray(times, dtype=float).ravel()
+    if not np.all(np.isfinite(ts)):
+        raise InputError(f"evolution times must be finite, got {ts[~np.isfinite(ts)][0]}")
+    if np.any(ts < 0):
+        raise DomainError(f"semigroup time must be >= 0, got {ts.min()}")
+    norm1 = _norm1(gen.schroedinger)
+    out = [None] * ts.size
+    state, now = rho0, 0.0
+    for k in np.argsort(ts, kind="stable"):
+        t = float(ts[k])
+        if t > now:
+            state = _evolved_density(rho0, _propagated(gen, state.mat, t - now, norm1))
+            now = t
+        out[k] = state
+    return out
+
+
+def _norm1(s: SuperOperator) -> float:
+    """||S||_1, the largest absolute column sum; on a diagonal, max |kernel|."""
+    return float(np.abs(s.matrix).sum(axis=0).max() if s.kernel is None else np.abs(s.kernel).max())
+
+
+def _propagated(gen: Generator, mat: np.ndarray, t: float, norm1: float) -> np.ndarray:
+    """exp(-t L_*) mat, computed; norm1 is _norm1(gen.schroedinger).
+
+    The one route choice of every evolution: expm_action while
+    t * norm1 <= d^2, gen.presemigroup(t) past that.
+    """
     if t * norm1 <= gen.dim**2:
-        return _evolved_density(rho, expm_action(s, -t, rho.mat))
-    return _evolved_density(rho, gen.presemigroup(t).apply(rho.mat))
+        return expm_action(gen.schroedinger, -t, mat)
+    return gen.presemigroup(t).apply(mat)
 
 
 def _evolved_density(rho: Density, out: np.ndarray) -> Density:

@@ -7,8 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
-from entroflow import entropyflow, statespace
+from entroflow import entropyflow, qms, statespace
 from entroflow.entropyflow import (
     ENTROPY_FLOOR,
     DecayReport,
@@ -160,6 +161,45 @@ def test_long_trajectory_node_takes_the_propagator(expm_calls):
     rec = trajectory(gen, bloch_diag(0.5), MAX_MIX_2, [0.5, 1e4])
     assert expm_calls == [(4, 4)]
     assert rec.entropies[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_debruijn_run_evolves_its_grid_once(monkeypatch, expm_calls):
+    """trajectory and debruijn_residual each evolve rho0 once along their times.
+
+    On the 24-node grid of the benchmark's flows jobs the time handed to
+    expm_action sums to about 2 (t_max + h); evolving every time afresh
+    from rho0 sums to about 74.
+    """
+    evolved = []
+    action = qms.expm_action
+
+    def counted(s, t, x):
+        evolved.append(abs(t))
+        return action(s, t, x)
+
+    monkeypatch.setattr(qms, "expm_action", counted)
+    gen = random_unital_gkls(8, 23)
+    ts = np.linspace(0.05, 2.0, 24)
+    rec = trajectory(gen, random_state(8, 24), density(np.eye(8) / 8), ts)
+    debruijn_residual(rec, h=1e-4)
+    assert expm_calls == []
+    assert sum(evolved) <= 2 * (ts[-1] + 1e-4)
+
+
+def test_fm_check_takes_its_grid_in_any_order():
+    sem = build_ball_semigroup("coxeter", 2, 2)
+    (rho,) = state_samples(sem.ball.size, sem.phi, SamplerConfig(count=1), seed=2)
+    want = fm_check(sem.gen, rho, sem.phi, 2.0, [0.1, 0.5, 1.0, 2.0])
+    assert fm_check(sem.gen, rho, sem.phi, 2.0, [1.0, 0.1, 2.0, 0.5, 1.0]) == want
+
+
+@pytest.mark.parametrize("bad, error", [(-0.1, DomainError), (float("nan"), InputError)])
+def test_fm_check_rejects_a_bad_time_before_any_exponential(monkeypatch, expm_calls, bad, error):
+    actions = []
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda *a, **k: actions.append(a))
+    with pytest.raises(error):
+        fm_check(depolarizing(2), bloch_diag(0.8), MAX_MIX_2, 2.0, [0.5, bad])
+    assert expm_calls == [] and actions == []
 
 
 def test_debruijn_residual_small_on_flow():

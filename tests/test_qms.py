@@ -6,11 +6,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from entroflow import qms
 from entroflow.entropyflow import decay_certificate
 from entroflow.errors import DomainError, InputError, NumericalError
 from entroflow.groupsem import build_ball_semigroup
 from entroflow.matcore import trace_norm, unvec, vec
 from entroflow.qms import (
+    _evolve_along,
     _evolved_density,
     _fixed_point_projection,
     _spectral_projection_zero,
@@ -513,3 +515,68 @@ def test_evolve_checks_time_and_dimension():
         evolve(gen, random_state(2, 1), -0.1)
     with pytest.raises(InputError):
         evolve(gen, random_state(3, 1), 0.1)
+
+
+FLOWS_GRID = np.linspace(0.05, 2.0, 24)
+
+CHAIN_MODELS = {
+    "unital-gkls-d4": lambda: random_unital_gkls(4, 44),
+    "unital-gkls-d8": lambda: random_unital_gkls(8, 48),
+    "schur-ball-coxeter-2-2": lambda: build_ball_semigroup("coxeter", 2, 2).gen,
+    "depolarizing-d2": lambda: depolarizing(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+def test_evolve_along_matches_per_time_evolve(name):
+    """Seeded differential test of the chained evolution against evolve from rho0.
+
+    On the debruijn grid of the benchmark's flows jobs and its +-1e-4
+    points, every chained state agrees with a fresh evolve within 1e-12
+    (relative, Frobenius), in the caller's order.
+    """
+    gen = CHAIN_MODELS[name]()
+    rho = random_state(gen.dim, gen.dim + 1)
+    times = np.concatenate([FLOWS_GRID, FLOWS_GRID + 1e-4, FLOWS_GRID - 1e-4])[::-1]
+    for t, state in zip(times, _evolve_along(gen, rho, times)):
+        want = evolve(gen, rho, t).mat
+        assert np.linalg.norm(state.mat - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_evolve_along_checks_every_trace_against_rho0(monkeypatch):
+    """A route that gains 6e-11 of trace per step passes one evolve, not a chain of two."""
+    route = qms._propagated
+    steps = []
+
+    def leaky(*args):
+        steps.append(args[2])
+        return route(*args) * (1 + 6e-11)
+
+    monkeypatch.setattr(qms, "_propagated", leaky)
+    gen = depolarizing(2)
+    rho = random_state(2, 3)
+    evolve(gen, rho, 0.2)
+    steps.clear()
+    with pytest.raises(NumericalError, match="trace"):
+        _evolve_along(gen, rho, [0.1, 0.2, 0.3])
+    assert len(steps) == 2
+
+
+@pytest.mark.parametrize("bad, error", [(-0.1, DomainError), (np.nan, InputError), (np.inf, InputError)])
+def test_evolve_along_checks_times_before_any_exponential(monkeypatch, bad, error):
+    calls = []
+    monkeypatch.setattr(qms, "_propagated", lambda *args: calls.append(args))
+    gen = depolarizing(2)
+    with pytest.raises(error):
+        _evolve_along(gen, random_state(2, 1), [0.5, bad, 0.1])
+    with pytest.raises(InputError):
+        _evolve_along(gen, random_state(3, 1), [0.1])
+    assert calls == []
+
+
+def test_evolve_along_shares_repeated_times_and_starts_at_rho0():
+    gen = depolarizing(2)
+    rho = random_state(2, 4)
+    a, b, c, zero = _evolve_along(gen, rho, [0.3, 0.1, 0.3, 0.0])
+    assert a is c and zero is rho
+    assert np.array_equal(b.mat, evolve(gen, rho, 0.1).mat)

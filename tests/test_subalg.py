@@ -1,11 +1,15 @@
 """Pinching expectations, entropy chain rules, martingale structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from entroflow import subalg
 from entroflow.errors import DomainError, InputError
-from entroflow.qms import gkls_generator, schur_generator
+from entroflow.groupsem import build_ball_semigroup
+from entroflow.matcore import SuperOperator, conjugation_super, unvec, vec
+from entroflow.qms import Generator, gkls_generator, schur_generator
 from entroflow.statespace import density, rel_entropy
 from entroflow.subalg import (
     chain_rule_check,
@@ -210,3 +214,62 @@ def test_chain_rule_needs_faithful_invariant():
     damping = gkls_generator(jumps=[np.array([[0, 1], [0, 0]], dtype=complex)], dim=2)
     with pytest.raises(DomainError):
         chain_rule_check(damping, density(np.eye(2, dtype=complex) / 2))
+
+
+@pytest.mark.parametrize("blocks", [(1,), (2, 2), (1, 3, 2), (1, 1, 1, 1, 1)])
+def test_block_pinching_is_the_conjugation_sum(blocks):
+    """Seeded differential test of the 0/1 Schur pinching against sum_B P_B x P_B."""
+    spec = subalgebra(blocks)
+    pinch = conditional_expectation(spec)
+    dense = sum(conjugation_super(p).matrix for p in spec.projectors())
+    assert pinch.kernel is not None
+    assert np.array_equal(pinch.matrix, dense)
+    x = random_state(spec.dim, 30).mat + 1j * np.arange(spec.dim**2).reshape(spec.dim, spec.dim)
+    assert np.array_equal(pinch.apply(x), unvec(dense @ vec(x), spec.dim))
+    rotated = conditional_expectation(subalgebra(blocks, unitary=random_unitary(spec.dim, 31)))
+    assert rotated.kernel is None
+
+
+def test_block_pinching_checks_build_no_matrix(monkeypatch):
+    """The pinching, nesting and martingale checks stay on the d x d kernels."""
+    matrix = SuperOperator.matrix
+
+    def dense_only(self):
+        assert self.kernel is None, "a Schur pinching was materialized"
+        return matrix.fget(self)
+
+    monkeypatch.setattr(SuperOperator, "matrix", property(dense_only))
+    sigma = density(np.diag([0.4, 0.25, 0.2, 0.15]).astype(complex))
+    rep = martingale_entropy_check([subalgebra((1, 1, 1, 1)), subalgebra((2, 2))], random_state(4, 32), sigma)
+    assert rep.max_violation <= 1e-10
+    check = rel_hamiltonian_projection_check(subalgebra((2, 2)), random_state(4, 33), sigma)
+    assert check.chain_residual < 1e-10
+    with pytest.raises(InputError, match="nested"):
+        martingale_entropy_check([subalgebra((2, 2)), subalgebra((1, 3))], random_state(4, 34), sigma)
+
+
+@pytest.mark.parametrize("kind", ["coxeter", "free"])
+def test_schur_resolvent_matches_the_dense_solve(kind):
+    """Seeded differential test of the entrywise resolvent against the d^2 x d^2 solve."""
+    gen = build_ball_semigroup(kind, 2, 2).gen
+    # the same generator held as dense matrices, which take the solve
+    dense = Generator(gen.dim, *(SuperOperator(s.matrix) for s in (gen.heisenberg, gen.schroedinger)))
+    psi = random_state(gen.dim, 35)
+    for n in (10, 40):
+        got = chain_rule_check(gen, psi, n=n).regularized.mat
+        want = chain_rule_check(dense, psi, n=n).regularized.mat
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_schur_resolvent_of_a_large_ball_stays_on_its_kernel():
+    """free(2) radius 3 (d = 53): a d^2 x d^2 solve would need 126 MB per matrix."""
+    gen = build_ball_semigroup("free", 2, 3).gen
+    psi = random_state(53, 36)
+    tracemalloc.start()
+    try:
+        rep = chain_rule_check(gen, psi, n=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    assert rep.residual > 0
