@@ -36,7 +36,14 @@ from .matcore import (
     _hermitian_part,
     herm_eig_batch,
 )
-from .qms import FixedPointData, Generator, _evolve_along, _evolved_density, fixed_point_expectation
+from .qms import (
+    FixedPointData,
+    Generator,
+    _evolve_along,
+    _evolved_density,
+    _step_all,
+    fixed_point_expectation,
+)
 from .statespace import (
     Density,
     _balpha_spectral,
@@ -109,8 +116,9 @@ class TrajectoryRecord:
 def trajectory(gen: Generator, rho0: Density, sigma: Density, t_grid) -> TrajectoryRecord:
     """Evaluate (D, I, alpha) along the evolution at the given times.
 
-    rho0 is evolved once along the grid, each node's state one step from
-    the node before it (see qms._evolve_along).
+    rho0 is evolved once along the grid (see qms._evolve_along): an
+    evenly spaced grid is one step from rho0 to its first time and one
+    run over the rest, two exponential calls in all.
     """
     ts = np.asarray(t_grid, dtype=float)
     if (
@@ -141,22 +149,34 @@ def debruijn_residual(record: TrajectoryRecord, h: float = 1e-4) -> float:
     """Max |dD/dt + I| over the trajectory nodes.
 
     The derivative is a difference quotient of D between the states at
-    t + h and at max(t - h, 0): a second-order central difference at
-    every node with t >= h, and a one-sided, first-order one at a node
-    closer than h to 0.  The residual thus measures the identity
-    d/dt D = -I rather than the grid resolution.  h must be positive and
-    finite.  rho0 is evolved once along the sorted union of those times
-    (see qms._evolve_along).
+    max(t - h, 0) and t + h.  At a node with t > h it is a second-order
+    central difference: the t - h states are evolved from rho0 as one
+    run (see qms._evolve_along), and the t + h states are that stack
+    stepped by 2h in one call (qms._step_all), so the quotient divides
+    by the 2h step taken.  At a node with t <= h it is a one-sided,
+    first-order one: rho0 itself and rho0 evolved to t + h.  The
+    residual thus measures the identity d/dt D = -I rather than the
+    grid resolution.  h must be positive and finite (else DomainError),
+    and large enough that t + h exceeds max(t - h, 0) and the 2h step
+    moves t - h at every node (else InputError, before any exponential).
     """
     if not 0 < h < math.inf:
         raise DomainError(f"step must be positive and finite, got {h}")
-    sigma = record.sigma
+    gen, rho0, sigma = record.gen, record.rho0, record.sigma
     ts = np.asarray(record.times, dtype=float)
     lo = np.maximum(ts - h, 0.0)
     hi = ts + h
-    states = _evolve_along(record.gen, record.rho0, np.concatenate([lo, hi]))
-    d = np.array([rel_entropy(s, sigma) for s in states])
-    deriv = (d[lo.size :] - d[: lo.size]) / (hi - lo)
+    inner = lo > 0.0
+    if np.any(hi <= lo) or np.any(lo[inner] + 2 * h == lo[inner]):
+        raise InputError(f"step {h} is below the resolution of the time grid")
+    below = _evolve_along(gen, rho0, lo[inner])
+    above = _step_all(gen, rho0, below, 2 * h)
+    d_lo = np.full(ts.size, rel_entropy(rho0, sigma))
+    d_hi = np.empty(ts.size)
+    d_lo[inner] = [rel_entropy(s, sigma) for s in below]
+    d_hi[inner] = [rel_entropy(s, sigma) for s in above]
+    d_hi[~inner] = [rel_entropy(s, sigma) for s in _evolve_along(gen, rho0, hi[~inner])]
+    deriv = (d_hi - d_lo) / np.where(inner, 2 * h, hi)
     return float(np.abs(deriv + record.productions).max(initial=0.0))
 
 

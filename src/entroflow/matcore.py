@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import InputError, NumericalError
 
@@ -335,34 +333,55 @@ def expm_superop(s: SuperOperator, t: float) -> SuperOperator:
         out = np.exp(vec(s.kernel) * t)
         _check_exponential(out, s, t)
         return SuperOperator._schur(out)
+    import scipy.linalg  # loaded on first use, off the start-up of every suite
+
     out = scipy.linalg.expm(s.matrix * t)
     _check_exponential(out, s, t)
     return SuperOperator._owned(out)
 
 
-def expm_action(s: SuperOperator, t: float, x) -> np.ndarray:
-    """unvec(exp(t * S) vec(x)): the exponential applied to one matrix.
+def expm_action(s: SuperOperator, t: float, x, num: int = 1) -> np.ndarray:
+    """exp(t * S) applied to matrices, without forming exp(t * S).
+
+    x is one dim x dim matrix, or a stack of k of them (shape
+    (k, dim, dim)) that are all stepped by the same t: a stack.  With
+    num = 1 the result has x's shape.  With num > 1 it is a run: the
+    matrices at the num evenly spaced times t/num, 2t/num, ..., t,
+    stacked ahead of x's shape in that order.  Either is one call.
 
     scipy.sparse.linalg.expm_multiply (Al-Mohy and Higham, 2011) sums
-    the Taylor series of exp(t * S) on the vector itself, in about
-    |t| * ||S||_1 matrix-vector products, and never forms exp(t * S).
-    That beats expm_superop for one operand while |t| * ||S||_1 stays
-    below the side of S; past that, expm_superop's scaling and squaring
-    is cheaper.  A Schur multiplier is exponentiated entrywise instead,
-    as expm_superop does.  A non-finite t raises InputError, a
-    non-finite result NumericalError.
+    the Taylor series of exp(t * S) on the operands themselves, in about
+    |t| * ||S||_1 matrix-vector products per column, and never forms
+    exp(t * S); a stack is one d^2 x k block.  A run is their algorithm
+    5.2, with one choice of parameters for the span [0, t]; it always
+    starts at x, at offset 0, since from a later start scipy would choose
+    them for the span and not for the start.  That beats expm_superop
+    while |t| * ||S||_1 stays below the side of S; past that,
+    expm_superop's scaling and squaring is cheaper.  A Schur multiplier
+    is exponentiated entrywise instead, as expm_superop does.  A
+    non-finite t raises InputError, a non-finite result NumericalError.
     """
     if not math.isfinite(t):
         raise InputError(f"exponential time must be finite, got {t}")
     a = np.asarray(x, dtype=complex)
-    if a.shape != (s.dim, s.dim):
+    if a.ndim not in (2, 3) or a.shape[-2:] != (s.dim, s.dim):
         raise InputError(f"operand shape {a.shape} does not match dim {s.dim}")
+    # one row per operand, each its column-major vectorization
+    b = np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (s.dim * s.dim,))
     if s.kernel is not None:
-        out = np.exp(vec(s.kernel) * t) * vec(a)
+        times = t if num == 1 else np.linspace(0.0, t, num + 1)[1:].reshape((num,) + (1,) * b.ndim)
+        out = np.exp(vec(s.kernel) * times) * b
     else:
-        out = scipy.sparse.linalg.expm_multiply(s.matrix * t, vec(a))
+        import scipy.sparse.linalg  # loaded on first use, off the start-up of every suite
+
+        if num == 1:
+            out = scipy.sparse.linalg.expm_multiply(s.matrix * t, b.T).T
+        else:
+            # offsets k/num of t * S; drop offset 0, and put a stack's columns back in rows
+            out = scipy.sparse.linalg.expm_multiply(s.matrix * t, b.T, start=0.0, stop=1.0, num=num + 1)
+            out = np.moveaxis(out[1:], 1, -1)
     _check_exponential(out, s, t)
-    return unvec(out, s.dim)
+    return np.swapaxes(out.reshape(out.shape[:-1] + (s.dim, s.dim)), -1, -2)
 
 
 def _check_exponential(out: np.ndarray, s: SuperOperator, t: float):

@@ -194,7 +194,8 @@ def evolve(gen: Generator, rho: Density, t: float) -> Density:
     vector.  Neither is kept.  Postconditions (see _evolved_density):
     trace preserved within 1e-10 (relative), output PSD within -1e-9
     (slightly negative eigenvalues are clamped and logged).  A grid of
-    times goes through _evolve_along, which evolves the state once.
+    times goes through _evolve_along, which evolves the state once, each
+    evenly spaced stretch of the grid in one call.
     """
     if rho.dim != gen.dim:
         raise InputError("state dimension does not match generator")
@@ -203,18 +204,28 @@ def evolve(gen: Generator, rho: Density, t: float) -> Density:
     return _evolved_density(rho, _propagated(gen, rho.mat, t, _norm1(gen.schroedinger)))
 
 
+# Sorted times count as evenly spaced, and form a run, when each is within
+# this many ulp of its largest time from the linspace of their two ends.
+_RUN_ULPS = 4
+
+
 def _evolve_along(gen: Generator, rho0: Density, times) -> list:
     """[exp(-t L_*) rho0 for t in times], in the order given.
 
-    The times are taken in ascending order and each state is one step
-    of t_k - t_{k-1} from the state before it, so the time evolved
-    adds up to max(times), not to their sum.  Each step takes evolve's
-    route (_propagated) and evolve's PSD clamp; its trace is checked
-    against rho0's, not the previous state's, so rounding cannot drift
-    along the chain past evolve's 1e-10.  A repeated time shares its
-    state, and the state at time 0 is rho0 itself.  Every time must be
-    finite (else InputError) and nonnegative (else DomainError); both
-    are checked before any exponential.
+    The distinct times are taken in ascending order and split into runs:
+    stretches that are evenly spaced to rounding (_run_end).  A run
+    starts from the state at its first time and is evolved to the rest
+    in one call of evolve's route (_propagated), so the time evolved adds
+    up to max(times), not to their sum, and a linspace grid takes one
+    step from rho0 to its first time and one run.  A run is cut where
+    its span would leave the action route, and a grid that is not evenly
+    spaced is a chain of single steps.  Every state gets evolve's PSD
+    clamp, and its trace is checked against rho0's, not the previous
+    state's, so rounding cannot drift along the chain past evolve's
+    1e-10.  A repeated time shares its state, and the state at time 0 is
+    rho0 itself.  Every time must be finite (else InputError) and
+    nonnegative (else DomainError); both are checked before any
+    exponential.
     """
     if rho0.dim != gen.dim:
         raise InputError("state dimension does not match generator")
@@ -224,15 +235,54 @@ def _evolve_along(gen: Generator, rho0: Density, times) -> list:
     if np.any(ts < 0):
         raise DomainError(f"semigroup time must be >= 0, got {ts.min()}")
     norm1 = _norm1(gen.schroedinger)
-    out = [None] * ts.size
-    state, now = rho0, 0.0
-    for k in np.argsort(ts, kind="stable"):
-        t = float(ts[k])
-        if t > now:
-            state = _evolved_density(rho0, _propagated(gen, state.mat, t - now, norm1))
-            now = t
-        out[k] = state
-    return out
+    u, where = np.unique(ts, return_inverse=True)
+    states = [rho0] if u.size and u[0] == 0.0 else []
+    while len(states) < u.size:
+        k = len(states)
+        if k == 0:  # rho0 is not on the grid: one step to its first time
+            start, now, j = rho0, 0.0, 0
+        else:
+            start, now, j = states[-1], u[k - 1], _run_end(gen, norm1, u, k - 1)
+        out = _propagated(gen, start.mat, float(u[j] - now), norm1, j - k + 1)
+        states.extend(_evolved_density(rho0, m) for m in out.reshape(-1, gen.dim, gen.dim))
+    return [states[w] for w in where]
+
+
+def _run_end(gen: Generator, norm1: float, u: np.ndarray, i: int) -> int:
+    """Index of the last time of the run that starts at u[i], at least i + 1.
+
+    u[i..j] is a run when it is within _RUN_ULPS ulp of u[j] of
+    linspace(u[i], u[j], j - i + 1) and, past a single step, its span
+    stays on the action route.  j is found by doubling and then bisecting,
+    so a grid of n times costs O(n log n) comparisons.
+    """
+
+    def run(j: int) -> bool:
+        seg = u[i : j + 1]
+        even = np.abs(seg - np.linspace(seg[0], seg[-1], seg.size)).max()
+        return _takes_action(gen, seg[-1] - seg[0], norm1) and even <= _RUN_ULPS * np.spacing(seg[-1])
+
+    good, bad = i + 1, i + 2
+    while bad < u.size and run(bad):
+        good, bad = bad, i + 2 * (bad - i)
+    bad = min(bad, u.size)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if run(mid) else (good, mid)
+    return good
+
+
+def _step_all(gen: Generator, rho0: Density, states, t: float) -> list:
+    """[exp(-t L_*) s for s in states], one stack stepped in one call of evolve's route.
+
+    Every state must have been evolved from rho0: each result gets
+    evolve's PSD clamp and its trace is checked against rho0's.
+    """
+    if not states:
+        return []
+    mats = np.array([s.mat for s in states])
+    out = _propagated(gen, mats, t, _norm1(gen.schroedinger))
+    return [_evolved_density(rho0, m) for m in out]
 
 
 def _norm1(s: SuperOperator) -> float:
@@ -240,15 +290,24 @@ def _norm1(s: SuperOperator) -> float:
     return float(np.abs(s.matrix).sum(axis=0).max() if s.kernel is None else np.abs(s.kernel).max())
 
 
-def _propagated(gen: Generator, mat: np.ndarray, t: float, norm1: float) -> np.ndarray:
+def _takes_action(gen: Generator, t: float, norm1: float) -> bool:
+    """The route rule of every evolution: expm_action while t * norm1 <= d^2, the side of L_*."""
+    return t * norm1 <= gen.dim**2
+
+
+def _propagated(gen: Generator, mat: np.ndarray, t: float, norm1: float, num: int = 1) -> np.ndarray:
     """exp(-t L_*) mat, computed; norm1 is _norm1(gen.schroedinger).
 
+    mat is one matrix or a stack of them, all stepped by t; num > 1
+    makes a run of num evenly spaced steps up to t (see expm_action).
     The one route choice of every evolution: expm_action while
-    t * norm1 <= d^2, gen.presemigroup(t) past that.
+    _takes_action, gen.presemigroup(t) past that, where _run_end has
+    left only single steps.
     """
-    if t * norm1 <= gen.dim**2:
-        return expm_action(gen.schroedinger, -t, mat)
-    return gen.presemigroup(t).apply(mat)
+    if _takes_action(gen, t, norm1):
+        return expm_action(gen.schroedinger, -t, mat, num)
+    prop = gen.presemigroup(t)
+    return np.array([prop.apply(m) for m in mat.reshape(-1, gen.dim, gen.dim)]).reshape(mat.shape)
 
 
 def _evolved_density(rho: Density, out: np.ndarray) -> Density:

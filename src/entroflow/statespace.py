@@ -22,11 +22,11 @@ representation of the operator logarithm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DomainError, InputError
 from .matcore import (
@@ -160,8 +160,17 @@ def _balpha_spectral(
     return max(hi, 1.0 / lo, 1.0)
 
 
-# The LAPACK routine scipy.linalg.eigh(a, b) calls on complex matrices.
-_HEGVD = get_lapack_funcs("hegvd", dtype=np.complex128)
+def _HEGVD(*args, **kwargs):
+    """zhegvd, the LAPACK routine scipy.linalg.eigh(a, b) calls on complex matrices."""
+    return _lapack_hegvd()(*args, **kwargs)
+
+
+@functools.cache
+def _lapack_hegvd():
+    """scipy's zhegvd, looked up on first use so that importing the package loads no scipy."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return get_lapack_funcs("hegvd", dtype=np.complex128)
 
 
 def _pencil_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -279,9 +279,10 @@ def test_every_generator_type_is_capped_by_dimension(tmp_path, capsys, monkeypat
     assert main(["subalg", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]) in (0, 1)
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    """Only the rate polish uses scipy.optimize; it is imported there, not at start-up."""
-    code = "import sys, entroflow.cli; print('scipy.optimize' in sys.modules)"
+def test_importing_the_cli_loads_no_scipy():
+    """Every scipy module is imported where it is first called, not at start-up:
+    scipy.optimize in the rate polish, the exponentials and zhegvd on first use."""
+    code = "import sys, entroflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(pathlib.Path(entroflow.__file__).parents[1])},
@@ -290,7 +291,22 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
         timeout=30,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("step", [1e-17, 1e-300])
+def test_debruijn_step_below_the_grid_resolution_exits_2(tmp_path, capsys, recwarn, step):
+    cfg = {
+        "generator": depolarizing_cfg(),
+        "state": [[0.9, 0.0], [0.0, 0.1]],
+        "reference": [[0.5, 0.0], [0.0, 0.5]],
+        "t_grid": {"start": 0.05, "stop": 2.0, "count": 24},
+        "step": step,
+    }
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["debruijn", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "below the resolution of the time grid" in capsys.readouterr().err
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_report_serializer_writes_numpy_values_in_one_pass():

@@ -168,14 +168,15 @@ def test_debruijn_run_evolves_its_grid_once(monkeypatch, expm_calls):
 
     On the 24-node grid of the benchmark's flows jobs the time handed to
     expm_action sums to about 2 (t_max + h); evolving every time afresh
-    from rho0 sums to about 74.
+    from rho0 sums to about 74.  A call's t is its largest time, the span
+    of a run or the step of a stack.
     """
     evolved = []
     action = qms.expm_action
 
-    def counted(s, t, x):
+    def counted(s, t, x, *run):
         evolved.append(abs(t))
-        return action(s, t, x)
+        return action(s, t, x, *run)
 
     monkeypatch.setattr(qms, "expm_action", counted)
     gen = random_unital_gkls(8, 23)
@@ -184,6 +185,63 @@ def test_debruijn_run_evolves_its_grid_once(monkeypatch, expm_calls):
     debruijn_residual(rec, h=1e-4)
     assert expm_calls == []
     assert sum(evolved) <= 2 * (ts[-1] + 1e-4)
+
+
+def test_flows_debruijn_run_makes_five_exponential_calls(monkeypatch, expm_calls):
+    """On a d = 16 flows job, trajectory takes a step to its first node and one
+    run; debruijn_residual a step, one run over the t - h states, one stack."""
+    calls = []
+    action = scipy.sparse.linalg.expm_multiply
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return action(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counted)
+    gen = random_unital_gkls(16, 5, spread=1.7 * math.sqrt(16))  # as the flows jobs scale theirs
+    ts = np.linspace(0.05, 2.0, 24)
+    rec = trajectory(gen, random_state(16, 6), density(np.eye(16) / 16), ts)
+    assert len(calls) == 2
+    assert debruijn_residual(rec, h=1e-4) < 1e-6
+    assert len(calls) <= 5 and expm_calls == []
+    assert calls[-1] == (256, 24)  # the t + h states, one 2h step of the stack
+
+
+def test_debruijn_quotient_matches_per_time_evolve():
+    """Interior nodes divide by the 2h step between t - h and t + h; a node
+    with t < h takes rho0 and rho0 evolved to t + h."""
+    gen = random_unital_gkls(4, 31)
+    rho0, sigma = random_state(4, 32), density(np.eye(4) / 4)
+    h = 1e-4
+
+    def want(ts):
+        rec = trajectory(gen, rho0, sigma, ts)
+        out = []
+        for t, prod in zip(ts, rec.productions):
+            lo = max(t - h, 0.0)
+            d_lo, d_hi = (rel_entropy(qms.evolve(gen, rho0, s), sigma) for s in (lo, t + h))
+            out.append(abs((d_hi - d_lo) / (t + h - lo) + prod))
+        return rec, max(out)
+
+    rec, inner = want(np.linspace(0.3, 1.2, 4))
+    assert debruijn_residual(rec, h) == pytest.approx(inner, abs=1e-10)
+    for ts in ([0.0, 5e-5, 0.3], [0.0, 5e-5]):  # with and without interior nodes
+        rec, edge = want(np.array(ts))
+        assert edge > 1e-6  # the one-sided nodes carry the first-order error
+        assert debruijn_residual(rec, h) == pytest.approx(edge, rel=1e-6)
+
+
+@pytest.mark.parametrize("h", [1e-17, 1e-300])
+def test_debruijn_step_below_the_grid_resolution_raises_before_any_exponential(
+    monkeypatch, expm_calls, h
+):
+    rec = trajectory(depolarizing(2), bloch_diag(0.5), MAX_MIX_2, [0.0, 0.5, 1.0])
+    actions = []
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda *a, **k: actions.append(a))
+    expm_calls.clear()
+    with pytest.raises(InputError, match="resolution"):
+        debruijn_residual(rec, h=h)
+    assert actions == [] and expm_calls == []
 
 
 def test_fm_check_takes_its_grid_in_any_order():
@@ -374,8 +432,10 @@ def test_production_decomposes_each_state_once(monkeypatch):
     assert counts["zhegvd"] == 1  # balpha_factor runs once
 
 
-def random_unital_gkls(d, seed):
-    """Hamiltonian plus two scaled Haar-unitary jumps: unital, not symmetric."""
+def random_unital_gkls(d, seed, spread=None):
+    """Hamiltonian plus two scaled Haar-unitary jumps: unital, not symmetric.
+
+    With spread, the Hamiltonian is scaled to that spectral spread."""
     rng = np.random.default_rng(seed)
 
     def haar():
@@ -383,7 +443,11 @@ def random_unital_gkls(d, seed):
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return gkls_generator(hamiltonian=h + h.conj().T, jumps=[np.sqrt(0.8) * haar(), np.sqrt(0.5) * haar()])
+    h = h + h.conj().T
+    if spread is not None:
+        w = np.linalg.eigvalsh(h)
+        h *= spread / (w[-1] - w[0])
+    return gkls_generator(hamiltonian=h, jumps=[np.sqrt(0.8) * haar(), np.sqrt(0.5) * haar()])
 
 
 def reference_ratio(gen, fp, mat):

@@ -543,6 +543,75 @@ def test_evolve_along_matches_per_time_evolve(name):
         assert np.linalg.norm(state.mat - want) <= 1e-12 * np.linalg.norm(want)
 
 
+RUN_GRIDS = {
+    "flows": FLOWS_GRID,
+    "flows-shifted": FLOWS_GRID - 1e-4,
+    "from-zero": np.linspace(0.0, 3.0, 12),
+    "late": np.linspace(10.0, 10.2, 5),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(RUN_GRIDS))
+@pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+def test_evolve_along_runs_match_per_time_evolve(monkeypatch, name, grid):
+    """Seeded differential test of evenly spaced runs against evolve from rho0.
+
+    Each grid is evolved in runs, and every state agrees with a fresh
+    evolve within 1e-12 (relative, Frobenius).  The late grid guards the
+    start of a run: it is stepped to 10 first and then run from offset 0,
+    where a run started at offset 10 would be off by orders of magnitude.
+    """
+    route = qms._propagated
+    nums = []
+
+    def counted(*args):
+        nums.append(args[4] if len(args) > 4 else 1)
+        return route(*args)
+
+    monkeypatch.setattr(qms, "_propagated", counted)
+    gen = CHAIN_MODELS[name]()
+    rho = random_state(gen.dim, gen.dim + 2)
+    times = RUN_GRIDS[grid]
+    for t, state in zip(times, _evolve_along(gen, rho, times)):
+        want = evolve(gen, rho, t).mat
+        assert np.linalg.norm(state.mat - want) <= 1e-12 * np.linalg.norm(want)
+    assert max(nums) > 1  # the grid went through at least one run
+
+
+def test_uneven_grid_is_a_chain_of_single_steps(monkeypatch):
+    route = qms._propagated
+    steps = []
+
+    def counted(*args):
+        steps.append((args[2], args[4] if len(args) > 4 else 1))
+        return route(*args)
+
+    monkeypatch.setattr(qms, "_propagated", counted)
+    _evolve_along(depolarizing(2), random_state(2, 6), [2.0, 0.1, 1.0, 0.5])
+    assert [n for _, n in steps] == [1, 1, 1, 1]
+    assert [t for t, _ in steps] == pytest.approx([0.1, 0.4, 0.5, 1.0])
+
+
+def test_run_is_cut_where_it_would_leave_the_action_route(monkeypatch, expm_calls):
+    route = qms._propagated
+    spans = []
+
+    def counted(*args):
+        spans.append(args[2])
+        return route(*args)
+
+    monkeypatch.setattr(qms, "_propagated", counted)
+    gen = depolarizing(2)
+    limit = action_limit(gen)
+    times = np.linspace(0.0, 3.5 * limit, 15)
+    rho = random_state(2, 7)
+    states = _evolve_along(gen, rho, times)
+    assert 1 < len(spans) < 14 and max(spans) <= limit and expm_calls == []
+    for t, state in zip(times, states):
+        want = evolve(gen, rho, t).mat
+        assert np.linalg.norm(state.mat - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_evolve_along_checks_every_trace_against_rho0(monkeypatch):
     """A route that gains 6e-11 of trace per step passes one evolve, not a chain of two."""
     route = qms._propagated
