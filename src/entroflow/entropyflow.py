@@ -39,8 +39,10 @@ from .matcore import (
 from .qms import (
     FixedPointData,
     Generator,
+    _checked_times,
+    _chunks,
     _evolve_along,
-    _evolved_density,
+    _evolved_spectra,
     _step_all,
     fixed_point_expectation,
 )
@@ -48,6 +50,7 @@ from .statespace import (
     Density,
     _balpha_spectral,
     _density_trace,
+    _rel_entropy_one,
     _rel_entropy_spectral,
     _rel_hamiltonian_spectral,
     balpha_factor,
@@ -61,6 +64,11 @@ ENTROPY_FLOOR = 1e-10
 # Most numbers a requested sample or grid may hold: BALL_CAP^4, the entries
 # of the largest dense superoperator the ball cap admits.
 SIZE_BUDGET = BALL_CAP**4
+
+def _spectra(states) -> tuple:
+    """(w, v): the eigenvalues and eigenvectors of densities, stacked."""
+    decs = [s.op.spectrum for s in states]
+    return np.array([dec.eigenvalues for dec in decs]), np.array([dec.eigenvectors for dec in decs])
 
 
 def entropy_production(gen: Generator, rho: Density, sigma: Density) -> float:
@@ -295,20 +303,10 @@ def _ratio(gen: Generator, fp: FixedPointData, mat: np.ndarray):
     """
     rho = _hermitian_part(mat)
     sig = _hermitian_part(fp.project_matrix(rho))
-    dr, ds = herm_eig_batch(rho, sig)
-    rho_trace = _density_trace(dr, rho)
-    clamped = _clamp_spectrum(ds, sig, "projected state")
-    if clamped is not sig:
-        sig = _hermitian_part(clamped)
-        (ds,) = herm_eig_batch(sig)
-    _density_trace(ds, sig)
-    d = _rel_entropy_spectral(dr, rho_trace, ds)
-    if not math.isfinite(d) or d < ENTROPY_FLOOR:
+    w, v = herm_eig_batch(np.array([rho, sig]))
+    r, d, dr, ds, h, lrho = _ratio_value(gen, rho, sig, w, v)
+    if r is None:
         return None, d, None
-    # _production refuses a state or reference that is not faithful, so past
-    # it sig is E_*(rho) itself: a clamped sig would have a zero eigenvalue
-    prod, h, lrho = _production(gen, rho, dr, sig, ds)
-    r = prod / d
     grad = (
         gen.heisenberg.apply(h)
         - r * h
@@ -316,6 +314,51 @@ def _ratio(gen: Generator, fp: FixedPointData, mat: np.ndarray):
         - fp.expectation.apply(_dlog(ds, lrho - r * rho))
     ) / d
     return r, d, (grad + grad.conj().T) / 2
+
+
+def _ratio_value(gen: Generator, rho: np.ndarray, sig: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple:
+    """_ratio up to its gradient: every check, and I/D and D.
+
+    rho and sig are the Hermitian parts of the state and of its
+    projection E_*(rho), and w, v (2, d) and (2, d, d) their computed
+    spectra.  Returns (I/D, D, dr, ds, h, L_* rho), with dr and ds the
+    decompositions of rho and of the reference (re-decomposed if it had
+    to be clamped) and h = log rho - log sigma; all but D are None when
+    D is not finite or below ENTROPY_FLOOR.
+    """
+    dr, ds = SpectralDecomposition(w[0], v[0]), SpectralDecomposition(w[1], v[1])
+    rho_trace = _density_trace(dr, rho)
+    clamped = _clamp_spectrum(ds, sig, "projected state")
+    if clamped is not sig:
+        sig = _hermitian_part(clamped)
+        ws, vs = herm_eig_batch(sig[None])
+        ds = SpectralDecomposition(ws[0], vs[0])
+    _density_trace(ds, sig)
+    d = _rel_entropy_one(dr, rho_trace, ds)
+    if not math.isfinite(d) or d < ENTROPY_FLOOR:
+        return None, d, None, None, None, None
+    # _production refuses a state or reference that is not faithful, so past
+    # it sig is E_*(rho) itself: a clamped sig would have a zero eigenvalue
+    prod, h, lrho = _production(gen, rho, dr, sig, ds)
+    return prod / d, d, dr, ds, h, lrho
+
+
+def _sample_ratios(gen: Generator, fp: FixedPointData, samples) -> list:
+    """[_ratio(gen, fp, s.mat)[:2] for s in samples], without the gradients.
+
+    Every check of _ratio runs on every sample, but the samples and their
+    projections are decomposed in one batched eigh per stack of at most
+    qms._STACK_ENTRIES entries.
+    """
+    rows = []
+    for part in _chunks(len(samples), 2 * gen.dim**2):
+        rhos = np.array([_hermitian_part(s.mat) for s in samples[part]])
+        sigs = np.array([_hermitian_part(m) for m in fp.project_matrix(rhos)])
+        w, v = herm_eig_batch(np.concatenate([rhos, sigs]))
+        k = len(rhos)
+        # w[i::k] holds the spectra of sample i and of its projection
+        rows.extend(_ratio_value(gen, rhos[i], sigs[i], w[i::k], v[i::k])[:2] for i in range(k))
+    return rows
 
 
 class _DomainExit(Exception):
@@ -351,11 +394,11 @@ def mlsi_estimate(
     fp = fixed_point_expectation(gen, phi)
     samples = state_samples(gen.dim, phi, sampler, seed)
 
-    rows = [_ratio(gen, fp, s.mat) for s in samples]
+    rows = _sample_ratios(gen, fp, samples)
     ratios = []
     skipped = 0
     violations = []
-    for idx, (r, _, _) in enumerate(rows):
+    for idx, (r, _) in enumerate(rows):
         if r is None:
             skipped += 1
             continue
@@ -488,33 +531,53 @@ def decay_certificate(
 ) -> DecayReport:
     """Check exponential entropy decay at rate beta across sampled states.
 
-    Every grid time's propagator is built once and applied to each
-    sample not already at the fixed point, one time at a time.
+    D0 = D(rho || E_* rho) of each sample; every sample not already at
+    the fixed point (D0 finite and at least ENTROPY_FLOOR) is evolved to
+    each grid time and checked against e^{-beta t} D0, and its margin is
+    the least of e^{-beta t} D0 - D(t) + 1e-8 (1 + D0) over the grid.
+    The default grid is ten times from 0.05 to 3 / max(beta, 0.5).  The
+    samples are taken as stacks of at most qms._STACK_ENTRIES entries: one
+    stacked projection and one stacked relative entropy per stack for
+    D0, then, with each grid time's propagator built once, one stacked
+    product, one call of evolve's postconditions (qms._evolved_spectra,
+    one batched eigh) and one stacked relative entropy per stack and
+    time.  An empty or non-finite grid raises InputError and a negative
+    time DomainError, before any exponential.
     """
+    ts = _checked_times(np.linspace(0.05, 3.0 / max(beta, 0.5), 10) if t_grid is None else t_grid)
+    if ts.size == 0:
+        raise InputError("t_grid must hold at least one time")
     fp = fixed_point_expectation(gen, phi)
-    if t_grid is None:
-        t_grid = np.linspace(0.05, 3.0 / max(beta, 0.5), 10)
-    per_state = []
-    live = []  # (row, rho, sigma, D0) of every sample the grid evolves
-    for idx, rho in enumerate(samples):
-        sig = fp.project_state(rho)
-        d0 = rel_entropy(rho, sig)
-        row = {"sample": idx, "d0": d0, "margin": math.inf, "ok": True}
-        per_state.append(row)
-        if math.isfinite(d0) and d0 >= ENTROPY_FLOOR:
-            live.append((row, rho, sig, d0))
-    for t in np.asarray(t_grid, dtype=float) if live else ():
+    samples = list(samples)
+    sigmas, d0s = [], []  # E_*(rho) and D0 of every sample
+    for part in _chunks(len(samples), gen.dim**2):
+        rhos = samples[part]
+        sigs = fp.project_states(rhos)
+        pw, pv = _spectra(rhos)
+        d0s.extend(_rel_entropy_spectral(pw, pv, [r.trace for r in rhos], *_spectra(sigs)).tolist())
+        sigmas.extend(sigs)
+    per_state = [{"sample": idx, "d0": d0, "margin": math.inf, "ok": True} for idx, d0 in enumerate(d0s)]
+    # the samples the grid evolves: those not already at the fixed point
+    live = [i for i, d0 in enumerate(d0s) if math.isfinite(d0) and d0 >= ENTROPY_FLOOR]
+    d0s = np.array(d0s)[live]
+    margins = np.full(len(live), math.inf)
+    for t in ts if live else ():
         prop = gen.presemigroup(float(t))
-        for row, rho, sig, d0 in live:
-            dt = rel_entropy(_evolved_density(rho, prop.apply(rho.mat)), sig)
-            row["margin"] = min(row["margin"], math.exp(-beta * t) * d0 - dt + 1e-8 * (1.0 + d0))
-    worst = math.inf
-    for row, _, _, _ in live:
-        worst = min(worst, row["margin"])
-        row["ok"] = row["margin"] >= 0.0
+        decay = math.exp(-beta * t)
+        for part in _chunks(len(live), gen.dim**2):
+            rhos = [samples[i] for i in live[part]]
+            _, w, v, tr = _evolved_spectra(
+                [rho.trace for rho in rhos], prop.apply(np.array([rho.mat for rho in rhos]))
+            )
+            dt = _rel_entropy_spectral(w, v, tr, *_spectra(sigmas[i] for i in live[part]))
+            d0 = d0s[part]
+            np.minimum(margins[part], decay * d0 - dt + 1e-8 * (1.0 + d0), out=margins[part])
+    for i, margin in zip(live, margins.tolist()):
+        per_state[i]["margin"] = margin
+        per_state[i]["ok"] = margin >= 0.0
     return DecayReport(
         beta=beta,
-        worst_margin=worst,
+        worst_margin=min(margins.tolist(), default=math.inf),
         passed=all(row["ok"] for row in per_state),
         per_state=tuple(per_state),
     )

@@ -66,6 +66,13 @@ class HermitianOperator:
             dec = self.__dict__.setdefault("_spectrum", herm_eig(self))
         return dec
 
+    @classmethod
+    def _decomposed(cls, mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> "HermitianOperator":
+        """The operator of a Hermitian mat, with its computed eigendecomposition (w, v) as spectrum."""
+        h = cls(mat)
+        h.__dict__["_spectrum"] = SpectralDecomposition(w, v)
+        return h
+
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
@@ -120,27 +127,31 @@ def herm_eig(a) -> SpectralDecomposition:
 
     Always decomposes afresh; HermitianOperator.spectrum is the memoized read.
     """
-    return herm_eig_batch(as_herm(a).mat)[0]
+    w, v = herm_eig_batch(as_herm(a).mat[None])
+    return SpectralDecomposition(w[0], v[0])
 
 
-def herm_eig_batch(*mats: np.ndarray) -> tuple:
-    """herm_eig of Hermitian matrices of one size, in one batched eigh.
+def herm_eig_batch(mats: np.ndarray) -> tuple:
+    """(w, v): herm_eig of each matrix of a stack (k, n, n), in one batched eigh.
 
-    The inputs must already be Hermitian, as HermitianOperator.mat is.
-    LAPACK decomposes each matrix of the stack on its own, so every
-    result has the bits a separate eigh gives.  Each decomposition must
-    reconstruct its matrix to within 1e-10 * max(1, max |eig|) * dim in
-    Frobenius norm, or NumericalError is raised.
+    w (k, n) holds the eigenvalues of each matrix, ascending, and v
+    (k, n, n) its orthonormal eigenvectors as columns.  The matrices must
+    already be Hermitian, as HermitianOperator.mat is.  LAPACK decomposes
+    each matrix of the stack on its own, so every result has the bits a
+    separate eigh gives.  Each decomposition must reconstruct its matrix
+    to within 1e-10 * max(1, max |eig|) * n in Frobenius norm, or
+    NumericalError is raised.
     """
-    w, v = np.linalg.eigh(np.array(mats, dtype=complex))
-    decs = []
-    for wk, vk, mat in zip(w, v, mats):
-        resid = _frobenius((vk * wk) @ vk.conj().T - mat)
-        # eigenvalues ascend, so the largest magnitude is -wk[0] or wk[-1]
-        if resid > 1e-10 * max(1.0, -wk[0], wk[-1]) * len(wk):
-            raise NumericalError(f"eigendecomposition residual too large: {resid:.3e}")
-        decs.append(SpectralDecomposition(wk, vk))
-    return tuple(decs)
+    w, v = np.linalg.eigh(mats)
+    r = np.matmul(v * w[..., None, :], v.swapaxes(-1, -2).conj())
+    r -= mats
+    x = r.view(float).reshape(len(w), -1)
+    resid = np.sqrt(np.einsum("ij,ij->i", x, x))
+    # eigenvalues ascend, so the largest magnitude is -w[:, 0] or w[:, -1]
+    bad = resid > 1e-10 * np.maximum(np.maximum(-w[:, 0], w[:, -1]), 1.0) * w.shape[1]
+    if bad.any():
+        raise NumericalError(f"eigendecomposition residual too large: {resid[bad][0]:.3e}")
+    return w, v
 
 
 def mat_fn(a, f) -> np.ndarray:
@@ -267,13 +278,24 @@ class SuperOperator:
         return m
 
     def apply(self, x) -> np.ndarray:
+        """S applied to one dim x dim matrix, or to each matrix of a stack (k, dim, dim).
+
+        A kernel acts by one broadcast product, a dense map by one stacked
+        matrix-vector product, so each matrix of a stack gets the bits that
+        matrix @ vec(X) gives it alone.  The result has x's shape, each of
+        its matrices in column-major order.
+        """
         a = x.mat if isinstance(x, HermitianOperator) else np.asarray(x, dtype=complex)
-        if a.shape != (self.dim, self.dim):
+        if a.ndim not in (2, 3) or a.shape[-2:] != (self.dim, self.dim):
             raise InputError(f"operand shape {a.shape} does not match dim {self.dim}")
+        # one row per operand, each its column-major vectorization
+        b = a.swapaxes(-1, -2).reshape(a.shape[:-2] + (self.dim * self.dim,))
         if self.kernel is not None:
-            # + 0.0 turns -0 into +0, as the diagonal matrix-vector product does
-            return unvec(vec(self.kernel) * vec(a) + 0.0, self.dim)
-        return unvec(self.matrix @ vec(a), self.dim)
+            out = vec(self.kernel) * b
+            out += 0.0  # turns -0 into +0, as the diagonal matrix-vector product does
+        else:
+            out = np.matmul(self._matrix, b[..., None])
+        return out.reshape(a.shape).swapaxes(-1, -2)
 
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         if self.dim != other.dim:
@@ -327,8 +349,11 @@ def expm_superop(s: SuperOperator, t: float) -> SuperOperator:
     A Schur multiplier is exponentiated entrywise, exp(t * kernel) on
     its complex kernel: the bits scipy.linalg.expm gives for the
     diagonal matrix.  A dense map goes through scipy.linalg.expm
-    (scaling and squaring).  An overflowed result raises NumericalError.
+    (scaling and squaring).  A non-finite t raises InputError, an
+    overflowed result NumericalError.
     """
+    if not math.isfinite(t):
+        raise InputError(f"exponential time must be finite, got {t}")
     if s.kernel is not None:
         out = np.exp(vec(s.kernel) * t)
         _check_exponential(out, s, t)

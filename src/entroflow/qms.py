@@ -20,8 +20,8 @@ A Schur generator holds only the d x d kernel of its multiplier (see
 matcore.SuperOperator), so its propagators, evolutions and fixed-point
 projections are entrywise; the other variants hold dense d^2 x d^2
 matrices.  A generator keeps nothing else: every propagator and fixed
-point is built when asked for, and a caller that applies one
-propagator to many states holds it itself.
+point is built when asked for, and a caller that evolves many states
+by one propagator applies it to them as one stack.
 
 The stationary structure is the spectral projection E at 0, a
 semisimple eigenvalue of a QMS generator, built in one place: one SVD
@@ -41,20 +41,37 @@ import numpy as np
 from .errors import DomainError, InputError, NumericalError
 from .matcore import (
     HermitianOperator,
+    SpectralDecomposition,
     SuperOperator,
+    _clamp_spectrum,
+    _hermitian_part,
     as_herm,
     choi_matrix,
-    clamp_psd,
     expm_action,
     expm_superop,
     herm_eig,  # noqa: F401  unused here; perfbench/tests/test_tracer.py looks it up
+    herm_eig_batch,
     is_herm_preserving,
     mat_fn,
     schur_multiplier_super,
 )
-from .statespace import Density
+from .statespace import Density, _checked_trace
 
 _CP_CHECK_TIMES = (0.1, 1.0)
+
+# Most matrix entries in one stack of states that is decomposed at once:
+# evolve's postconditions on a run, and the sample map and the decay
+# certificate of entropyflow, cut their stacks to this size.  That bounds
+# the memory of a stacked step whatever the number of states, and at d = 17
+# a larger stack saves no time, since there each state's eigh dominates.
+_STACK_ENTRIES = 2048
+
+
+def _chunks(count: int, entries: int) -> list:
+    """Slices that cut count items, of entries matrix entries each, into
+    stacks of at most _STACK_ENTRIES entries (of one item if it is larger)."""
+    size = max(1, _STACK_ENTRIES // entries)
+    return [slice(i, i + size) for i in range(0, count, size)]
 
 
 @dataclass(frozen=True)
@@ -229,11 +246,7 @@ def _evolve_along(gen: Generator, rho0: Density, times) -> list:
     """
     if rho0.dim != gen.dim:
         raise InputError("state dimension does not match generator")
-    ts = np.asarray(times, dtype=float).ravel()
-    if not np.all(np.isfinite(ts)):
-        raise InputError(f"evolution times must be finite, got {ts[~np.isfinite(ts)][0]}")
-    if np.any(ts < 0):
-        raise DomainError(f"semigroup time must be >= 0, got {ts.min()}")
+    ts = _checked_times(times)
     norm1 = _norm1(gen.schroedinger)
     u, where = np.unique(ts, return_inverse=True)
     states = [rho0] if u.size and u[0] == 0.0 else []
@@ -244,8 +257,19 @@ def _evolve_along(gen: Generator, rho0: Density, times) -> list:
         else:
             start, now, j = states[-1], u[k - 1], _run_end(gen, norm1, u, k - 1)
         out = _propagated(gen, start.mat, float(u[j] - now), norm1, j - k + 1)
-        states.extend(_evolved_density(rho0, m) for m in out.reshape(-1, gen.dim, gen.dim))
+        states.extend(_evolved_density(rho0, out.reshape(-1, gen.dim, gen.dim)))
     return [states[w] for w in where]
+
+
+def _checked_times(times) -> np.ndarray:
+    """times as a flat float array, once every time is finite (else
+    InputError) and nonnegative (else DomainError)."""
+    ts = np.asarray(times, dtype=float).ravel()
+    if not np.all(np.isfinite(ts)):
+        raise InputError(f"evolution times must be finite, got {ts[~np.isfinite(ts)][0]}")
+    if np.any(ts < 0):
+        raise DomainError(f"semigroup time must be >= 0, got {ts.min()}")
+    return ts
 
 
 def _run_end(gen: Generator, norm1: float, u: np.ndarray, i: int) -> int:
@@ -281,8 +305,7 @@ def _step_all(gen: Generator, rho0: Density, states, t: float) -> list:
     if not states:
         return []
     mats = np.array([s.mat for s in states])
-    out = _propagated(gen, mats, t, _norm1(gen.schroedinger))
-    return [_evolved_density(rho0, m) for m in out]
+    return _evolved_density(rho0, _propagated(gen, mats, t, _norm1(gen.schroedinger)))
 
 
 def _norm1(s: SuperOperator) -> float:
@@ -306,35 +329,72 @@ def _propagated(gen: Generator, mat: np.ndarray, t: float, norm1: float, num: in
     """
     if _takes_action(gen, t, norm1):
         return expm_action(gen.schroedinger, -t, mat, num)
-    prop = gen.presemigroup(t)
-    return np.array([prop.apply(m) for m in mat.reshape(-1, gen.dim, gen.dim)]).reshape(mat.shape)
+    return gen.presemigroup(t).apply(mat)
 
 
-def _evolved_density(rho: Density, out: np.ndarray) -> Density:
+def _evolved_density(rho: Density, out: np.ndarray):
     """Density of out, the computed exp(-t L_*) rho, after evolve's postconditions.
 
-    The Hermitian part of out must keep rho's trace within 1e-10
-    (relative), or NumericalError is raised; eigenvalues in [-1e-9, 0)
-    are clamped (see _clamped_density).
+    out is one matrix, or a stack of them that were all evolved from rho;
+    a stack gives a list of densities.  The postconditions run on stacks
+    of at most _STACK_ENTRIES entries at once (see _evolved_spectra),
+    each matrix's trace checked against rho's, and each density keeps
+    the spectrum they computed.
     """
-    out = (out + out.conj().T) / 2
-    tr_out = float(np.trace(out).real)
-    if abs(tr_out - rho.trace) > 1e-10 * max(1.0, rho.trace):
+    stack = out.reshape(-1, rho.dim, rho.dim)
+    states = []
+    for part in _chunks(len(stack), rho.dim**2):
+        states.extend(_densities(*_evolved_spectra(rho.trace, stack[part])[:3]))
+    return states if out.ndim == 3 else states[0]
+
+
+def _evolved_spectra(traces, out: np.ndarray) -> tuple:
+    """evolve's postconditions on a stack (k, d, d) of computed states exp(-t L_*) rho_i.
+
+    traces holds the trace of each rho_i (k of them, or one for all).  The
+    Hermitian part of every matrix must keep its own rho_i's trace within
+    1e-10 (relative), or NumericalError is raised; then every matrix is
+    made a density by _clamped_spectra.  Returns (mats, w, v, tr) as that
+    does.
+    """
+    mats = out + out.swapaxes(-1, -2).conj()
+    mats /= 2
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    ref = np.broadcast_to(np.asarray(traces, dtype=float), tr.shape)
+    off = np.abs(tr - ref) > 1e-10 * np.maximum(ref, 1.0)
+    if off.any():
+        i = np.flatnonzero(off)[0]
         raise NumericalError(
-            f"evolution broke trace preservation: {rho.trace:.12e} -> {tr_out:.12e}"
+            f"evolution broke trace preservation: {ref[i]:.12e} -> {tr[i]:.12e}"
         )
-    return _clamped_density(out, "evolved state")
+    return _clamped_spectra(mats, "evolved state")
 
 
-def _clamped_density(out: np.ndarray, what: str) -> Density:
-    """Density of a computed, nearly-PSD Hermitian matrix (see clamp_psd).
+def _clamped_spectra(mats: np.ndarray, what: str) -> tuple:
+    """A stack (k, d, d) of computed, nearly-PSD Hermitian matrices, made densities.
 
-    The operator that clamp_psd decomposed is handed on unless it had to
-    be clamped, so the state keeps the spectrum already computed.
+    One batched eigh decomposes them all (herm_eig_batch).  A matrix whose
+    least eigenvalue is in [-1e-9, 0) is clamped as clamp_psd clamps it,
+    logged and decomposed again, that matrix alone; one below -1e-9
+    raises NumericalError.  Every matrix then passes the checks of a
+    density.  Returns (mats, w, v, tr): the matrices, replaced in place
+    where clamped, their eigenvalues and eigenvectors, and their traces.
     """
-    h = HermitianOperator(out)
-    clamped = clamp_psd(h, what=what)
-    return Density(h if clamped is h.mat else HermitianOperator(clamped))
+    w, v = herm_eig_batch(mats)
+    for i in np.flatnonzero(w[:, 0] < 0.0):
+        clamped = _clamp_spectrum(SpectralDecomposition(w[i], v[i]), mats[i], what)
+        mats[i] = _hermitian_part(clamped)
+        wi, vi = herm_eig_batch(mats[i : i + 1])
+        w[i], v[i] = wi[0], vi[0]
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    for lo, hi, t in zip(w[:, 0].tolist(), w[:, -1].tolist(), tr.tolist()):
+        _checked_trace(lo, hi, t)
+    return mats, w, v, tr
+
+
+def _densities(mats: np.ndarray, w: np.ndarray, v: np.ndarray) -> list:
+    """Densities of a stack of Hermitian matrices, each keeping its computed spectrum."""
+    return [Density(HermitianOperator._decomposed(*item)) for item in zip(mats, w, v)]
 
 
 def _spectral_projection_zero(m: np.ndarray) -> np.ndarray:
@@ -430,12 +490,21 @@ class FixedPointData:
     phi: Density
 
     def project_state(self, rho: Density) -> Density:
-        return _clamped_density(self.project_matrix(rho.mat), "projected state")
+        return self.project_states([rho])[0]
+
+    def project_states(self, states) -> list:
+        """[project_state(s) for s in states]: E_*(s), clamped to a density, as one stack.
+
+        The Hermitian parts of the projections are made densities by
+        _clamped_spectra, each clamped alone where it dipped below 0.
+        """
+        mats = self.project_matrix(np.array([s.mat for s in states]))
+        return _densities(*_clamped_spectra(mats, "projected state")[:3])
 
     def project_matrix(self, mat) -> np.ndarray:
-        """Hermitian part of E_*(mat): project_state before its PSD clamp."""
+        """Hermitian part of E_*(mat), of each matrix of a stack: project_state before its PSD clamp."""
         out = self.predual.apply(mat)
-        return (out + out.conj().T) / 2
+        return (out + out.swapaxes(-1, -2).conj()) / 2
 
 
 def _validate_expectation(fp: FixedPointData, gen: Generator):

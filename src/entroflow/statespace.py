@@ -83,12 +83,17 @@ def density(mat) -> Density:
 def _density_trace(dec: SpectralDecomposition, mat: np.ndarray) -> float:
     """Trace of a density matrix, after its PSD and positive-trace checks."""
     w = dec.eigenvalues  # ascending
-    top = max(float(w[-1]), 0.0)
-    if w[0] < -1e-10 * max(top, 1e-300):
+    return _checked_trace(float(w[0]), float(w[-1]), float(mat.trace().real))
+
+
+def _checked_trace(lo: float, hi: float, tr: float) -> float:
+    """tr, the trace of a density matrix with least and largest eigenvalues lo and hi,
+    once it passes the PSD and positive-trace checks of every density."""
+    top = max(hi, 0.0)
+    if lo < -1e-10 * max(top, 1e-300):
         raise InputError(
-            f"density is not PSD: min eigenvalue {w[0]:.3e} vs max {top:.3e}"
+            f"density is not PSD: min eigenvalue {lo:.3e} vs max {top:.3e}"
         )
-    tr = float(mat.trace().real)
     if tr <= 0.0:
         raise InputError(f"density must have positive trace, got {tr:.3e}")
     return tr
@@ -108,28 +113,44 @@ def rel_entropy(rho: Density, sigma: Density) -> float:
     """
     if rho.dim != sigma.dim:
         raise InputError("dimension mismatch between states")
-    return _rel_entropy_spectral(rho.op.spectrum, rho.trace, sigma.op.spectrum)
+    return _rel_entropy_one(rho.op.spectrum, rho.trace, sigma.op.spectrum)
 
 
-def _rel_entropy_spectral(
-    dr: SpectralDecomposition, rho_trace: float, ds: SpectralDecomposition
-) -> float:
-    """rel_entropy from the decompositions of rho and sigma."""
-    # clipped eigenvalues, still ascending: the last is the largest
-    p = np.clip(dr.eigenvalues, 0.0, None)
-    q = np.clip(ds.eigenvalues, 0.0, None)
-    p_on = p > SUPPORT_CUTOFF * p[-1]
-    q_on = q > SUPPORT_CUTOFF * q[-1]
-    p_sup = p[p_on]
-    # |<u_i|v_j>|^2 on the support of rho; compress keeps the blocks C-ordered
-    overlap = (np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2).compress(p_on, axis=0)
-    # mass of rho landing in the kernel of sigma
-    leak = float(p_sup @ overlap.compress(~q_on, axis=1).sum(axis=1)) if (~q_on).any() else 0.0
-    if leak > 1e-10 * rho_trace:
-        return math.inf
-    plogp = float(p_sup @ np.log(p_sup))
-    cross = float(p_sup @ overlap.compress(q_on, axis=1) @ np.log(q[q_on]))
-    return plogp - cross
+def _rel_entropy_one(dr: SpectralDecomposition, rho_trace: float, ds: SpectralDecomposition) -> float:
+    """rel_entropy from the decompositions of rho and sigma, as a stack of one."""
+    return float(
+        _rel_entropy_spectral(
+            dr.eigenvalues[None], dr.eigenvectors[None], rho_trace, ds.eigenvalues[None], ds.eigenvectors[None]
+        )[0]
+    )
+
+
+def _rel_entropy_spectral(pw, pv, rho_trace, qw, qv) -> np.ndarray:
+    """rel_entropy of each pair (rho_i, sigma_i) of a stack, from their decompositions.
+
+    pw, qw (k, d) hold the eigenvalues of rho_i and sigma_i, ascending, and
+    pv, qv (k, d, d) their eigenvectors; rho_trace is the trace of each
+    rho_i (k of them, or one for all).  With p and q the clipped
+    eigenvalues, pm = p with its entries off the support of rho_i zeroed,
+    and logs taken on the supports only, D_i = pm @ log p - (pm @ overlap)
+    @ log q: each sum is one product per item, which for faithful states
+    has the bits the sums over the supports give.  D_i is math.inf when
+    the mass of rho_i on the kernel of sigma_i, the entries of pm @ overlap
+    off the support of sigma_i, exceeds 1e-10 of its trace.
+    """
+    # clipped eigenvalues of rho and sigma, still ascending: the last is the largest
+    e = np.array((pw, qw), dtype=float)
+    np.maximum(e, 0.0, out=e)
+    on = e > SUPPORT_CUTOFF * e[..., -1:]
+    log_p, log_q = np.log(np.where(on, e, 1.0))[..., None]  # log 1 = 0 off the supports
+    pm = (e[0] * on[0])[:, None, :]
+    # |<u_i|v_j>|^2, and the mass of rho on each eigenvector of sigma
+    mass = pm @ (np.abs(pv.swapaxes(-1, -2).conj() @ qv) ** 2)
+    d = (pm @ log_p - mass @ log_q)[:, 0, 0]
+    if on[1].all():
+        return d
+    leak = np.where(on[1], 0.0, mass[:, 0, :]).sum(axis=1)
+    return np.where(leak > 1e-10 * np.asarray(rho_trace), math.inf, d)
 
 
 def balpha_factor(rho: Density, sigma: Density):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from entroflow import entropyflow, qms, statespace
+from entroflow import entropyflow, matcore, qms, statespace
 from entroflow.entropyflow import (
     ENTROPY_FLOOR,
     DecayReport,
@@ -27,7 +28,15 @@ from entroflow.entropyflow import (
 )
 from entroflow.errors import DomainError, InputError
 from entroflow.groupsem import build_ball_semigroup
-from entroflow.matcore import HermitianOperator, SpectralDecomposition, herm_eig
+from entroflow.matcore import (
+    SUPPORT_CUTOFF,
+    HermitianOperator,
+    SpectralDecomposition,
+    herm_eig,
+    herm_eig_batch,
+    unvec,
+    vec,
+)
 from entroflow.qms import (
     fixed_point_expectation,
     gkls_generator,
@@ -648,3 +657,181 @@ def test_polish_allocates_no_simplex():
         tracemalloc.stop()
     assert rep.beta_ratio > 0.0
     assert peak <= 64 * 2**20
+
+
+def per_state_certificate(gen, phi, beta, samples):
+    """The decay certificate's margins as one loop over states and grid times.
+
+    Each state is evolved alone, by the propagator's matrix-vector product,
+    and gets evolve's postconditions and rel_entropy one at a time.
+    """
+    fp = fixed_point_expectation(gen, phi)
+    margins = []
+    for rho in samples:
+        sig = fp.project_state(rho)
+        d0 = rel_entropy(rho, sig)
+        margin = math.inf
+        if math.isfinite(d0) and d0 >= ENTROPY_FLOOR:
+            for t in np.linspace(0.05, 3.0 / max(beta, 0.5), 10):
+                out = unvec(gen.presemigroup(float(t)).matrix @ vec(rho.mat), gen.dim)
+                dt = rel_entropy(qms._evolved_density(rho, out), sig)
+                margin = min(margin, math.exp(-beta * t) * d0 - dt + 1e-8 * (1.0 + d0))
+        margins.append(margin)
+    return margins
+
+
+def free_ball_model():
+    ball = build_ball_semigroup("free", 2, 2)
+    return ball.gen, ball.phi
+
+
+CERTIFICATE_MODELS = {
+    "coxeter-2-2-d5": (coxeter_ball_model, 12),
+    "unital-gkls-d4": (RATE_MODELS["unital-gkls-d4"], 12),
+    "depolarizing-d3": (RATE_MODELS["depolarizing-d3"], 12),
+    "free-2-2-d17": (free_ball_model, 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_MODELS))
+def test_decay_certificate_matches_the_per_state_loop(monkeypatch, name):
+    """Seeded differential test of the stacked certificate against one state at a time.
+
+    Every margin is bit-identical, on kernels and dense generators, with a
+    converged sample (phi itself) among them, and with the samples cut
+    into several stacks: at d = 17 by the module's own entry budget,
+    elsewhere by a budget of five states.
+    """
+    make, count = CERTIFICATE_MODELS[name]
+    gen, phi = make()
+    samples = state_samples(gen.dim, phi, SamplerConfig(count=count), seed=17) + [phi]
+    if count * gen.dim**2 <= qms._STACK_ENTRIES:
+        monkeypatch.setattr(qms, "_STACK_ENTRIES", 5 * gen.dim**2)
+    assert len(qms._chunks(count, gen.dim**2)) > 1
+    rep = decay_certificate(gen, phi, 2.0, samples)
+    want = per_state_certificate(gen, phi, 2.0, samples)
+    assert [row["margin"] for row in rep.per_state] == want
+    assert rep.worst_margin == min(want)
+    assert want[-1] == math.inf and rep.per_state[-1]["ok"]
+
+
+def test_decay_certificate_makes_one_eigh_per_grid_time_and_stack(monkeypatch):
+    gen, phi = free_ball_model()
+    samples = state_samples(gen.dim, phi, SamplerConfig(count=30), seed=5)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rep = decay_certificate(gen, phi, 2.0, samples)
+    # the diagonal samples sit at the fixed point and are not evolved
+    live = sum(math.isfinite(row["margin"]) for row in rep.per_state)
+    size = qms._STACK_ENTRIES // gen.dim**2
+
+    def stacks(n):
+        return [(min(size, n - i), 17, 17) for i in range(0, n, size)]
+
+    assert len(stacks(live)) > 1 and size > 1
+    # one batched eigh per stack of projections, then one per stack of live
+    # samples at each of the 10 grid times
+    assert Counter(shapes) == Counter(stacks(30) + stacks(live) * 10)
+
+
+def test_decay_certificate_memory_is_bounded_by_its_stacks():
+    gen, phi = free_ball_model()
+    samples = state_samples(gen.dim, phi, SamplerConfig(count=100), seed=5)
+    tracemalloc.start()
+    try:
+        decay_certificate(gen, phi, 2.0, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 10**6
+
+
+@pytest.mark.parametrize(
+    "grid, error",
+    [([0.1, np.nan], InputError), ([0.1, np.inf], InputError), ([0.1, -0.5], DomainError), ([], InputError)],
+    ids=["nan", "inf", "negative", "empty"],
+)
+@pytest.mark.parametrize("model", ["coxeter-2-2-d5", "depolarizing-d2"])
+def test_decay_certificate_checks_its_grid_before_any_exponential(monkeypatch, model, grid, error):
+    gen, phi = RATE_MODELS[model]()
+    samples = state_samples(gen.dim, phi, SamplerConfig(count=3), seed=2)
+    calls = []
+    monkeypatch.setattr(qms, "expm_superop", lambda *args: calls.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            decay_certificate(gen, phi, 2.0, samples, t_grid=grid)
+    assert calls == []
+    if grid and not np.isfinite(grid[-1]):
+        # the exponential refuses a non-finite time itself, kernel or dense
+        with pytest.raises(InputError, match="finite"):
+            matcore.expm_superop(gen.schroedinger, -grid[-1])
+
+
+def scalar_rel_entropy(dr, rho_trace, ds):
+    """D from two spectra as sums over the supports, for one pair of states."""
+    p = np.clip(dr.eigenvalues, 0.0, None)
+    q = np.clip(ds.eigenvalues, 0.0, None)
+    p_on = p > SUPPORT_CUTOFF * p[-1]
+    q_on = q > SUPPORT_CUTOFF * q[-1]
+    p_sup = p[p_on]
+    overlap = (np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2).compress(p_on, axis=0)
+    leak = float(p_sup @ overlap.compress(~q_on, axis=1).sum(axis=1)) if (~q_on).any() else 0.0
+    if leak > 1e-10 * rho_trace:
+        return math.inf
+    return float(p_sup @ np.log(p_sup)) - float(p_sup @ overlap.compress(q_on, axis=1) @ np.log(q[q_on]))
+
+
+def random_states(rng, d, count, rank=None):
+    g = rng.normal(size=(count, d, rank or d)) + 1j * rng.normal(size=(count, d, rank or d))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return [density(x / np.trace(x).real) for x in m]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 17])
+def test_stacked_relative_entropy_matches_the_sums_over_the_supports(d):
+    """On faithful states a stack of one and a stack of 30 give the scalar sums' bits."""
+    rng = np.random.default_rng(40 + d)
+    rhos, sigmas = random_states(rng, d, 30), random_states(rng, d, 30)
+    want = [scalar_rel_entropy(r.op.spectrum, r.trace, s.op.spectrum) for r, s in zip(rhos, sigmas)]
+    assert [rel_entropy(r, s) for r, s in zip(rhos, sigmas)] == want
+    pw, pv = herm_eig_batch(np.array([r.mat for r in rhos]))
+    qw, qv = herm_eig_batch(np.array([s.mat for s in sigmas]))
+    traces = np.array([r.trace for r in rhos])
+    assert statespace._rel_entropy_spectral(pw, pv, traces, qw, qv).tolist() == want
+    # a singular reference: a faithful state leaks into its kernel, the state itself does not
+    pure = random_states(rng, d, 1, rank=1)[0]
+    assert rel_entropy(rhos[0], pure) == math.inf
+    assert math.isclose(rel_entropy(pure, pure), 0.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(RATE_MODELS))
+def test_sample_map_matches_the_ratio_kernel_without_gradients(monkeypatch, name):
+    gen, phi = RATE_MODELS[name]()
+    fp = fixed_point_expectation(gen, phi)
+    samples = state_samples(gen.dim, phi, SamplerConfig(count=30), seed=8) + [phi]
+    want = [_ratio(gen, fp, s.mat)[:2] for s in samples]
+    dlogs = []
+    monkeypatch.setattr(entropyflow, "_dlog", lambda *args: dlogs.append(args))
+    monkeypatch.setattr(qms, "_STACK_ENTRIES", 2 * 7 * gen.dim**2)  # stacks of 7 samples
+    assert entropyflow._sample_ratios(gen, fp, samples) == want
+    assert dlogs == []
+
+
+def test_sample_map_raises_like_the_ratio_kernel():
+    # pinching keeps the roundoff-negative diagonal entry: the projection is
+    # clamped, and the clamped reference is not faithful
+    gen = schur_generator(np.ones((3, 3)) - np.eye(3))
+    fp = fixed_point_expectation(gen, MAX_MIX_3)
+    mat = np.array([[0.5, 0.2, 0.0], [0.2, 0.5, 0.0], [0.0, 0.0, -1e-12]], dtype=complex)
+    with pytest.raises(DomainError) as kernel:
+        _ratio(gen, fp, mat)
+    with pytest.raises(DomainError) as mapped:
+        entropyflow._sample_ratios(gen, fp, [MAX_MIX_3, density(mat)])
+    assert str(mapped.value) == str(kernel.value)

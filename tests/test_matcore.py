@@ -14,6 +14,7 @@ from entroflow.matcore import (
     expm_action,
     expm_superop,
     herm_eig,
+    herm_eig_batch,
     is_herm_preserving,
     mat_fn,
     min_eig,
@@ -117,6 +118,53 @@ def test_superoperator_apply_and_compose():
     t = SuperOperator(np.kron(a.T, np.eye(3)))
     assert np.allclose(t.apply(x), x @ a)
     assert np.allclose((s @ t).apply(x), a @ x @ a)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
+def test_stacked_apply_gives_each_matrix_its_own_bits(d):
+    """A stack (k, d, d) gets, matrix by matrix, the bits of matrix @ vec(x) on that matrix alone."""
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+    dense = SuperOperator(rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))
+    kernel = schur_multiplier_super(np.exp(-rng.random((d, d))))
+    for s in (dense, kernel):
+        one_by_one = np.array([unvec(s.matrix @ vec(m), d) for m in x])
+        assert np.array_equal(s.apply(x), one_by_one)
+        assert np.array_equal(s.apply(x[3]), one_by_one[3])
+        assert s.apply(x[3]).flags.f_contiguous
+    with pytest.raises(InputError):
+        dense.apply(np.zeros((2, 3, d, d)))
+    with pytest.raises(InputError):
+        dense.apply(np.zeros((4, d + 1, d + 1)))
+
+
+def test_herm_eig_batch_gives_each_matrix_its_own_bits():
+    rng = np.random.default_rng(6)
+    mats = np.array([as_herm(random_psd(rng, 5)).mat for _ in range(6)])
+    w, v = herm_eig_batch(mats)
+    assert w.shape == (6, 5) and v.shape == (6, 5, 5)
+    for k, m in enumerate(mats):
+        dec = herm_eig(m)
+        assert np.array_equal(w[k], dec.eigenvalues)
+        assert np.array_equal(v[k], dec.eigenvectors)
+
+
+def test_herm_eig_batch_checks_every_residual(monkeypatch):
+    """A decomposition that does not reconstruct its matrix fails the batch, wherever it sits."""
+    rng = np.random.default_rng(7)
+    mats = np.array([as_herm(random_psd(rng, 4)).mat for _ in range(3)])
+    eigh = np.linalg.eigh
+
+    def off_by_a_little(a):
+        w, v = eigh(a)
+        w = w.copy()
+        w[-1, -1] *= 1 + 1e-6
+        return w, v
+
+    herm_eig_batch(mats)
+    monkeypatch.setattr(np.linalg, "eigh", off_by_a_little)
+    with pytest.raises(NumericalError, match="residual"):
+        herm_eig_batch(mats)
 
 
 def test_conjugation_super():

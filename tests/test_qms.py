@@ -649,3 +649,59 @@ def test_evolve_along_shares_repeated_times_and_starts_at_rho0():
     a, b, c, zero = _evolve_along(gen, rho, [0.3, 0.1, 0.3, 0.0])
     assert a is c and zero is rho
     assert np.array_equal(b.mat, evolve(gen, rho, 0.1).mat)
+
+
+def state_with_least_eigenvalue(lo, seed, d=4):
+    """A Hermitian matrix of trace 1 whose least eigenvalue is lo, in a random basis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    w = np.concatenate([[lo], rng.dirichlet(np.ones(d - 1)) * (1 - lo)])
+    m = (q * w) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_evolved_stack_clamps_each_state_alone_and_checks_each_trace(caplog):
+    """evolve's postconditions on a hand-built stack: one state is clamped, the others keep their bits."""
+    good = [random_state(4, s).mat for s in (31, 32)]
+    low = state_with_least_eigenvalue(-5e-10, 33)
+    stack = np.array([good[0], low, good[1]])
+    traces = [np.trace(m).real for m in stack]
+    with caplog.at_level("WARNING", logger="entroflow.matcore"):
+        mats, w, v, tr = qms._evolved_spectra(traces, stack)
+    assert len(caplog.records) == 1 and "evolved state" in caplog.records[0].getMessage()
+    assert w[1, 0] >= -1e-15 and not np.array_equal(mats[1], low)
+    for k, m in ((0, good[0]), (2, good[1])):
+        alone = density(m)
+        assert np.array_equal(mats[k], alone.mat)
+        assert np.array_equal(w[k], alone.op.spectrum.eigenvalues)
+        assert np.array_equal(v[k], alone.op.spectrum.eigenvectors)
+    # the densities of a stack keep those spectra and match one-state calls bit for bit
+    rho = density(good[0])
+    states = _evolved_density(rho, stack[[0, 2]])
+    assert [s.op.spectrum.eigenvalues.tobytes() for s in states] == [w[0].tobytes(), w[2].tobytes()]
+    assert np.array_equal(_evolved_density(rho, stack[2]).mat, states[1].mat)
+
+    with pytest.raises(NumericalError, match="positivity"):
+        qms._evolved_spectra(1.0, np.array([good[0], state_with_least_eigenvalue(-2e-9, 34)]))
+    with pytest.raises(NumericalError, match="trace"):
+        qms._evolved_spectra([1.0, 1.0], np.array([good[0], good[1] * (1 + 1e-9)]))
+
+
+def test_evolved_stack_past_the_entry_budget_is_cut_with_the_same_bits(monkeypatch):
+    rho = random_state(4, 35)
+    stack = np.array([random_state(4, s).mat for s in range(36, 41)])
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counted(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(qms, "_STACK_ENTRIES", 2 * 16)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cut = _evolved_density(rho, stack)
+    assert sizes == [2, 2, 1]
+    assert [s.mat.tobytes() for s in cut] == [_evolved_density(rho, m).mat.tobytes() for m in stack]
+    assert [s.op.spectrum.eigenvectors.tobytes() for s in cut] == [
+        _evolved_density(rho, m).op.spectrum.eigenvectors.tobytes() for m in stack
+    ]
