@@ -132,9 +132,9 @@ def intertwining_residual(gen: Generator, calc: DiffCalculus, times=(0.25, 1.0))
     if gen.dim != calc.dim:
         raise DomainError("generator is not generated by this calculus")
     if heis.kernel is None:
-        same = np.allclose(heis.matrix, expected.matrix, atol=1e-10)
+        same = np.allclose(heis.matrix, expected.matrix, rtol=0, atol=1e-10)
     else:
-        same = np.allclose(heis.kernel, expected.kernel, atol=1e-10)
+        same = np.allclose(heis.kernel, expected.kernel, rtol=0, atol=1e-10)
     if not same:
         raise DomainError("generator is not generated by this calculus")
     propagators = {t: gen.semigroup(t) for t in times}

@@ -499,10 +499,12 @@ def fm_check(gen: Generator, rho: Density, phi: Density, beta: float, t_grid) ->
     I(rho_0 || E_* rho); nonpositive (within tolerance) certifies
     production monotonicity at rate beta for this state.  The grid may
     be in any order and repeat times: rho is evolved once along it in
-    ascending order (see qms._evolve_along), and a negative or
-    non-finite time raises before any exponential.
+    ascending order (see qms._evolve_along), and an empty grid or a
+    negative or non-finite time raises before any exponential.
     """
     ts = np.asarray(t_grid, dtype=float)
+    if ts.size == 0:  # the max over no times would certify nothing
+        raise InputError("t_grid must hold at least one time")
     states = _evolve_along(gen, rho, ts)  # first: it checks the grid before any exponential
     fp = fixed_point_expectation(gen, phi)
     sig = fp.project_state(rho)

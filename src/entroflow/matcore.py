@@ -336,6 +336,26 @@ def choi_matrix(s: SuperOperator) -> np.ndarray:
     return s.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
+def _choi_floor(s: SuperOperator, off_omega: bool = False) -> float:
+    """Least eigenvalue of the Hermitian part C of S's Choi matrix; with off_omega, of Q C Q.
+
+    Q = 1 - |Omega><Omega| projects off Omega = vec(1) / sqrt(d), and every
+    exp(tS), t >= 0, is CP exactly when S preserves Hermiticity and Q C Q
+    >= 0 (Lindblad, CMP 1976).  A Schur multiplier's C is its kernel K on
+    span{e_i (x) e_i}, where Omega is the all-ones vector / sqrt(d), and 0
+    off it: Q C Q is J K J there, J = 1 - 11^T/d (Schoenberg, 1938).
+    """
+    d = s.dim
+    c = choi_matrix(s) if s.kernel is None else s.kernel
+    c = (c + c.conj().T) / 2
+    if off_omega:
+        omega = (np.eye(d).ravel() if s.kernel is None else np.ones(d)) / math.sqrt(d)
+        p = np.outer(omega, omega @ c)
+        c = c - p - p.conj().T + (omega @ c @ omega) * np.outer(omega, omega)
+    lo = float(np.linalg.eigvalsh(c)[0])
+    return min(lo, 0.0) if s.kernel is not None and d > 1 else lo
+
+
 def is_herm_preserving(s: SuperOperator) -> bool:
     """Whether S maps Hermitian matrices to Hermitian matrices, to 1e-10 relative."""
     c = choi_matrix(s)

@@ -241,7 +241,7 @@ def rel_hamiltonian(rho: Density, sigma: Density, support=None) -> np.ndarray:
     v = np.asarray(support, dtype=complex)
     if v.ndim != 2 or v.shape[0] != rho.dim:
         raise InputError("support must be a dim x r isometry")
-    if not np.allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-10):
+    if not np.allclose(v.conj().T @ v, np.eye(v.shape[1]), rtol=0, atol=1e-10):
         raise InputError("support columns must be orthonormal")
     r_small = v.conj().T @ rho.op.mat @ v
     s_small = v.conj().T @ sigma.op.mat @ v

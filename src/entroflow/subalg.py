@@ -87,7 +87,7 @@ def subalgebra(blocks, unitary=None) -> SubalgebraSpec:
         d = sum(bl)
         if unitary.shape != (d, d):
             raise InputError(f"unitary shape {unitary.shape} does not match dimension {d}")
-        if not np.allclose(unitary @ unitary.conj().T, np.eye(d), atol=1e-10):
+        if not np.allclose(unitary @ unitary.conj().T, np.eye(d), rtol=0, atol=1e-10):
             raise InputError("rotation matrix is not unitary")
         unitary = unitary.copy()
         unitary.setflags(write=False)

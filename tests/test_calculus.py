@@ -146,6 +146,13 @@ def test_intertwining_rejects_foreign_generator():
         intertwining_residual(other, calc)
 
 
+def test_intertwining_rejects_a_generator_off_the_symbol_by_a_relative_2e_6():
+    calc, sem = ball_calc("free", 1, 2)
+    other = schur_generator((1 + 2e-6) * sem.psi.astype(float))  # entries up to 8e-6 off
+    with pytest.raises(DomainError):
+        intertwining_residual(other, calc)
+
+
 def test_empty_times_rejected():
     calc, sem = ball_calc("free", 1, 2)
     with pytest.raises(InputError):

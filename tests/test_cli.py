@@ -618,3 +618,63 @@ def test_each_tolerance_override_decides_the_checks_it_governs(tmp_path, command
     assert code == 1
     assert {c["name"] for c in checks if not c["passed"]} == governed
     assert all(c["tolerance"] == value for c in checks if c["name"] in governed)
+
+
+def encode(m):
+    """A complex matrix as config entries, each an [re, im] pair."""
+    return [[[v.real, v.imag] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+def rotation_cfg():
+    """A unital, Hermiticity-preserving raw generator whose exp(-tL) is the
+    identity at t = 0.1 and t = 1 but not CP in between (see tests/test_qms.py)."""
+    e01, e10 = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    e01[0, 1] = e10[1, 0] = 1.0
+    l1, l2 = (e01 + e10).T.ravel() / np.sqrt(2), (-1j * e01 + 1j * e10).T.ravel() / np.sqrt(2)
+    heis = 20 * np.pi * (np.outer(l1, l2.conj()) - np.outer(l2, l1.conj()))
+    return {"type": "matrix", "heisenberg": encode(heis)}
+
+
+def nearly_symmetric_ball_cfg():
+    """The coxeter(2) radius-2 symbol with one entry scaled by 1 + 1e-5."""
+    psi = build_ball_semigroup("coxeter", 2, 2).psi.astype(float)
+    psi[0, -1] *= 1 + 1e-5
+    return {"type": "schur", "symbol": psi.tolist()}
+
+
+NOT_A_QMS = {
+    "rotation": rotation_cfg,
+    **{
+        f"not-cnd-{a}": (lambda a=a: {"type": "schur", "symbol": [[0.0, 1.0, a], [1.0, 0.0, 1.0], [a, 1.0, 0.0]]})
+        for a in (4.05, 4.2, 4.5)
+    },
+    "nearly-symmetric": nearly_symmetric_ball_cfg,
+}
+
+
+@pytest.mark.parametrize("command", ["mlsi", "debruijn"])
+@pytest.mark.parametrize("name", sorted(NOT_A_QMS))
+def test_a_generator_of_no_quantum_markov_semigroup_exits_2(tmp_path, capsys, command, name):
+    gen = NOT_A_QMS[name]()
+    d = len(gen["symbol"]) if gen["type"] == "schur" else 3
+    mixed = (np.eye(d) / d).tolist()
+    if command == "mlsi":
+        cfg = {**MLSI_CFG, "generator": gen, "phi": mixed}
+    else:
+        state = np.diag(np.linspace(1.0, 2.0, d) / np.linspace(1.0, 2.0, d).sum()).tolist()
+        cfg = {"generator": gen, "state": state, "reference": mixed}
+    assert main([command, "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad input:")
+
+
+def test_subalg_with_a_rotation_off_unitary_by_8e_6_exits_2(tmp_path, capsys):
+    c, s = np.cos(0.3), np.sin(0.3)
+    unitary = (1 + 4e-6) * np.array([[c, -s], [s, c]])  # ||U U^dag - 1|| = 8e-6
+    cfg = {
+        "blocks": [1, 1],
+        "unitary": unitary.tolist(),
+        "state": [[0.6, 0.1], [0.1, 0.4]],
+        "sigma": [[0.5, 0.0], [0.0, 0.5]],
+    }
+    assert main(["subalg", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "not unitary" in capsys.readouterr().err

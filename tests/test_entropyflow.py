@@ -269,6 +269,16 @@ def test_fm_check_rejects_a_bad_time_before_any_exponential(monkeypatch, expm_ca
     assert expm_calls == [] and actions == []
 
 
+def test_fm_check_refuses_an_empty_grid_before_the_fixed_point(monkeypatch):
+    sem = build_ball_semigroup("coxeter", 2, 2)
+    (rho,) = state_samples(sem.ball.size, sem.phi, SamplerConfig(count=1), seed=2)
+    built = []
+    monkeypatch.setattr(entropyflow, "fixed_point_expectation", lambda *args: built.append(args))
+    with pytest.raises(InputError, match="at least one time"):
+        fm_check(sem.gen, rho, sem.phi, 2.0, [])
+    assert built == []
+
+
 def test_debruijn_residual_small_on_flow():
     gen = depolarizing(2)
     rec = trajectory(gen, bloch_diag(0.7), MAX_MIX_2, np.linspace(0.05, 2.0, 8))
@@ -356,13 +366,10 @@ def test_decay_certificate_depolarizing():
 
 def test_decay_certificate_exponentiates_once_per_grid_time(expm_calls):
     gen = depolarizing(2)
-    fixed_point_expectation(gen, MAX_MIX_2)
-    checks = len(expm_calls)  # the fixed point's absorption checks, rebuilt by the certificate
-    expm_calls.clear()
     samples = state_samples(2, MAX_MIX_2, SamplerConfig(count=5), seed=4)
     rep = decay_certificate(gen, MAX_MIX_2, beta=2.0, samples=samples)
     assert all(math.isfinite(row["margin"]) for row in rep.per_state)
-    assert expm_calls == [(4, 4)] * (checks + 10)  # the default grid has 10 times
+    assert expm_calls == [(4, 4)] * 10  # the default grid has 10 times; the fixed point takes none
 
 
 def test_decay_certificate_skips_converged_sample():

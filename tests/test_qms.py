@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,11 +9,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from entroflow import qms
+from entroflow import cli, qms
 from entroflow.entropyflow import decay_certificate
 from entroflow.errors import DomainError, InputError, NumericalError
 from entroflow.groupsem import build_ball_semigroup
-from entroflow.matcore import trace_norm, unvec, vec
+from entroflow.matcore import SuperOperator, choi_matrix, trace_norm, unvec, vec
 from entroflow.qms import (
     _evolve_along,
     _evolved_density,
@@ -82,6 +85,13 @@ def test_schur_symbol_validation():
     bad = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
     with pytest.raises(InputError):
         schur_generator(bad)
+
+
+def test_schur_symbol_asymmetric_by_a_relative_1e_5_is_rejected():
+    psi = build_ball_semigroup("coxeter", 2, 2).psi.astype(float)
+    psi[0, -1] *= 1 + 1e-5
+    with pytest.raises(InputError, match="symmetric"):
+        schur_generator(psi)
 
 
 def test_raw_rejects_transpose_map():
@@ -705,3 +715,126 @@ def test_evolved_stack_past_the_entry_budget_is_cut_with_the_same_bits(monkeypat
     assert [s.op.spectrum.eigenvectors.tobytes() for s in cut] == [
         _evolved_density(rho, m).op.spectrum.eigenvectors.tobytes() for m in stack
     ]
+
+
+# Exact validity: every exp(-tL), t >= 0, is CP exactly when -L is conditionally
+# completely positive; the checks take one Choi spectrum and no exponential.
+
+
+def rotation_generator():
+    """L = 20 pi (|l1><l2| - |l2><l1|) on d = 3, in column-major vec form.
+
+    l1 and l2 are orthonormal traceless Hermitian matrices, so L is unital,
+    preserves Hermiticity and rotates their plane by 20 pi t: exp(-tL) is
+    the identity at t = 0.1 and t = 1, yet not CP in between.
+    """
+    e01, e10 = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    e01[0, 1] = e10[1, 0] = 1.0
+    l1, l2 = vec(e01 + e10) / np.sqrt(2), vec(-1j * e01 + 1j * e10) / np.sqrt(2)
+    return 20 * np.pi * (np.outer(l1, l2.conj()) - np.outer(l2, l1.conj()))
+
+
+def not_cnd_symbol(a):
+    """Real symmetric, nonnegative, zero diagonal; not conditionally negative definite for a > 4."""
+    return np.array([[0.0, 1.0, a], [1.0, 0.0, 1.0], [a, 1.0, 0.0]])
+
+
+def test_raw_generator_rejects_a_rotation_that_is_cp_at_t_0_1_and_1():
+    heis = rotation_generator()
+    for t in (0.1, 1.0):
+        assert np.allclose(scipy.linalg.expm(-t * heis), np.eye(9), rtol=0, atol=1e-10)
+    for t, lo in ((0.01, -0.34), (0.025, -0.73), (0.05, -1.0)):
+        c = choi_matrix(SuperOperator(scipy.linalg.expm(-t * heis)))
+        assert np.linalg.eigvalsh((c + c.conj().T) / 2)[0] == pytest.approx(lo, abs=5e-3)
+    with pytest.raises(InputError, match="not completely positive"):
+        raw_generator(heis)
+
+
+@pytest.mark.parametrize("a, dip", [(4.05, -5.1e-5), (4.2, -7.5e-4), (4.5, -4.0e-3)])
+def test_schur_generator_rejects_a_symbol_that_is_not_conditionally_negative_definite(a, dip):
+    psi = not_cnd_symbol(a)
+    assert all(np.linalg.eigvalsh(np.exp(-t * psi))[0] > 0 for t in (0.1, 1.0))
+    ts = np.geomspace(1e-4, 10.0, 2001)
+    assert np.linalg.eigvalsh(np.exp(-ts[:, None, None] * psi))[:, 0].min() == pytest.approx(dip, rel=0.02)
+    with pytest.raises(InputError, match="not a PSD kernel"):
+        schur_generator(psi)
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, the job lists of the benchmark."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_accepted(gen):
+    """gen passes every validity check: the raw generator's CCP test on a dense
+    generator, and the fixed-point expectation's checks where it has a faithful
+    invariant state."""
+    if gen.heisenberg.kernel is None:
+        raw_generator(gen.heisenberg.matrix)
+    phi = invariant_states(gen)
+    if phi is not None:
+        fixed_point_expectation(gen, phi)
+
+
+@pytest.mark.parametrize("workload", ["rates", "balls", "flows"])
+def test_every_benchmark_generator_is_still_accepted(monkeypatch, workload):
+    workloads = load_workloads(monkeypatch)
+    for seed in (1, 20261017):
+        for job in workloads.job_list(workload, seed):
+            cfg = job.config
+            if "generator" in cfg:
+                assert_accepted(cli._parse_generator(cfg["generator"]))
+            else:
+                assert_accepted(build_ball_semigroup(cfg["kind"], cfg["rank"], cfg["radius"]).gen)
+
+
+TEST_GENERATORS = {
+    "amplitude-damping": lambda: gkls_generator(jumps=[np.array([[0, 1], [0, 0]], dtype=complex)]),
+    "depolarizing-2": lambda: depolarizing(2),
+    "depolarizing-3": lambda: depolarizing(3),
+    "dephasing": dephasing_qubit,
+    "diagonal-schur": lambda: schur_generator(np.ones((3, 3)) - np.eye(3)),
+    "block-schur": lambda: schur_generator(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])),
+    "random-unital-gkls-4": lambda: random_unital_gkls(4, 13),
+    "random-gkls-3": lambda: random_gkls(3, 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEST_GENERATORS))
+def test_every_test_generator_is_still_accepted(name):
+    assert_accepted(TEST_GENERATORS[name]())
+
+
+# the word-length balls of at most 53 elements, free(2) radius 3 the largest
+BALL_MODELS = [
+    (kind, rank, radius)
+    for kind, rank, top in (
+        ("free", 1, 4), ("free", 2, 3), ("free", 3, 2), ("coxeter", 1, 1), ("coxeter", 2, 4), ("coxeter", 3, 4)
+    )
+    for radius in range(1, top + 1)
+]
+
+
+@pytest.mark.parametrize("model", BALL_MODELS, ids=lambda m: "-".join(map(str, m)))
+def test_every_ball_symbol_is_still_accepted(model):
+    sem = build_ball_semigroup(*model)
+    assert sem.gen.dim <= 53
+    fixed_point_expectation(sem.gen, sem.phi)
+
+
+@pytest.mark.parametrize("kind", ["dense", "kernel"])
+def test_validity_checks_take_no_exponential(monkeypatch, expm_calls, kind):
+    calls = []
+    monkeypatch.setattr(qms, "expm_superop", lambda *args: calls.append(args))
+    if kind == "dense":
+        gen, phi = raw_generator(depolarizing(3).heisenberg.matrix), density(np.eye(3) / 3)
+    else:
+        sem = build_ball_semigroup("coxeter", 2, 2)
+        gen, phi = schur_generator(sem.psi.astype(float)), sem.phi
+    fixed_point_expectation(gen, phi)
+    assert expm_calls == [] and calls == []

@@ -156,6 +156,15 @@ def test_rel_hamiltonian_on_supplied_support():
     assert np.allclose(h, np.diag([math.log(1.5), math.log(0.5), 0.0]), atol=1e-12)
 
 
+def test_rel_hamiltonian_rejects_a_support_off_orthonormal_by_4e_6():
+    v = np.zeros((3, 2))
+    v[0, 0] = v[1, 1] = 1.0 + 2e-6  # v^dag v - 1 = 4e-6, within allclose's default rtol of 1e-5
+    rho = density(np.diag([0.75, 0.25, 0.0]))
+    sig = density(np.diag([0.5, 0.5, 0.0]))
+    with pytest.raises(InputError, match="orthonormal"):
+        rel_hamiltonian(rho, sig, support=v)
+
+
 def test_resolvent_scalar_oracle():
     rho = density(np.array([[2.0]]))
     sig = density(np.array([[1.0]]))

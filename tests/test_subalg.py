@@ -62,6 +62,11 @@ def test_subalgebra_validation():
         subalgebra((2, 2), unitary=np.eye(3))
 
 
+def test_subalgebra_rejects_a_rotation_off_unitary_by_8e_6():
+    with pytest.raises(InputError, match="not unitary"):
+        subalgebra((2, 2), unitary=(1 + 4e-6) * random_unitary(4, 3))
+
+
 def test_pinching_kills_off_blocks_and_is_projection():
     spec = subalgebra((2, 2))
     pinch = conditional_expectation(spec)
