@@ -53,7 +53,6 @@ from .statespace import (
     _rel_entropy_one,
     _rel_entropy_spectral,
     _rel_hamiltonian_spectral,
-    balpha_factor,
     density,
     rel_entropy,
 )
@@ -90,9 +89,9 @@ def _production(
     sigma_mat: np.ndarray,
     ds: SpectralDecomposition,
 ) -> tuple:
-    """(I, log rho - log sigma, L_*(rho)): entropy_production from the
-    matrices and decompositions of rho and sigma, with the two matrices
-    it is read off."""
+    """(I, log rho - log sigma, L_*(rho), alpha): entropy_production from
+    the matrices and decompositions of rho and sigma, with the two
+    matrices it is read off and the balpha_factor it bounds them by."""
     resid = _frobenius(gen.schroedinger.apply(sigma_mat))
     if resid > 1e-9 * max(1.0, _frobenius(sigma_mat)):
         raise DomainError(f"reference state is not invariant: ||L_* sigma|| = {resid:.3e}")
@@ -105,7 +104,7 @@ def _production(
     val = (lrho @ h).trace()
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise DomainError(f"entropy production came out non-real: {val:.3e}")
-    return float(val.real), h, lrho
+    return float(val.real), h, lrho, alpha
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,8 @@ def trajectory(gen: Generator, rho0: Density, sigma: Density, t_grid) -> Traject
 
     rho0 is evolved once along the grid (see qms._evolve_along): an
     evenly spaced grid is one step from rho0 to its first time and one
-    run over the rest, two exponential calls in all.
+    run over the rest, two exponential calls in all.  Each node's alpha
+    is the one its entropy production computes.
     """
     ts = np.asarray(t_grid, dtype=float)
     if (
@@ -140,8 +140,9 @@ def trajectory(gen: Generator, rho0: Density, sigma: Density, t_grid) -> Traject
     ds, is_, als = [], [], []
     for rt in _evolve_along(gen, rho0, ts):
         ds.append(rel_entropy(rt, sigma))
-        is_.append(entropy_production(gen, rt, sigma))
-        als.append(balpha_factor(rt, sigma) or math.inf)
+        prod, _, _, alpha = _production(gen, rt.mat, rt.op.spectrum, sigma.mat, sigma.op.spectrum)
+        is_.append(prod)
+        als.append(alpha)
     return TrajectoryRecord(
         times=ts,
         entropies=np.array(ds),
@@ -339,7 +340,7 @@ def _ratio_value(gen: Generator, rho: np.ndarray, sig: np.ndarray, w: np.ndarray
         return None, d, None, None, None, None
     # _production refuses a state or reference that is not faithful, so past
     # it sig is E_*(rho) itself: a clamped sig would have a zero eigenvalue
-    prod, h, lrho = _production(gen, rho, dr, sig, ds)
+    prod, h, lrho, _ = _production(gen, rho, dr, sig, ds)
     return prod / d, d, dr, ds, h, lrho
 
 

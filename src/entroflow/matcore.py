@@ -217,10 +217,13 @@ class SuperOperator:
     vectorizations: apply(X) = unvec(matrix @ vec(X)).  A Schur
     multiplier X -> K * X (entrywise) holds only its dim x dim kernel K;
     its matrix is diagonal with vec(K) on the diagonal, built whenever
-    .matrix is read and never kept.  On kernels apply, @, adjoint,
-    expm_superop and expm_action act entrywise; on a real kernel, as a
-    Schur generator's is, they give the bits the diagonal matrix gives.
-    kernel is None for a dense map.  Immutable.
+    .matrix is read and never kept.  Only this module reads the form
+    (kernel is None for a dense map).  apply, @, -, adjoint, norm,
+    resolvent, expm_superop, expm_action and _fixed_point_projection act
+    entrywise on kernels; @ of a kernel and a dense map scales the rows
+    or columns of the dense matrix.  On a real kernel, as a Schur
+    generator's is, they give the values of the diagonal matrix to the
+    bit, but for the Frobenius norm and the resolvent.  Immutable.
     """
 
     __slots__ = ("_matrix", "kernel", "dim")
@@ -300,9 +303,39 @@ class SuperOperator:
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         if self.dim != other.dim:
             raise InputError("superoperator dimensions do not match")
+        if self.kernel is None and other.kernel is None:
+            return SuperOperator._owned(self._matrix @ other._matrix)
+        if other.kernel is None:  # diag(vec K) @ M scales the rows of M
+            return SuperOperator._owned(vec(self.kernel)[:, None] * other._matrix)
+        if self.kernel is None:  # M @ diag(vec K) scales its columns
+            return SuperOperator._owned(self._matrix * vec(other.kernel))
+        return SuperOperator._schur(vec(self.kernel) * vec(other.kernel) + 0.0)
+
+    def __sub__(self, other: "SuperOperator") -> "SuperOperator":
+        if self.dim != other.dim:
+            raise InputError("superoperator dimensions do not match")
         if self.kernel is not None and other.kernel is not None:
-            return SuperOperator._schur(vec(self.kernel) * vec(other.kernel) + 0.0)
-        return SuperOperator._owned(self.matrix @ other.matrix)
+            return SuperOperator._schur(vec(self.kernel) - vec(other.kernel))
+        return SuperOperator._owned(self.matrix - other.matrix)
+
+    def norm(self, kind=None) -> float:
+        """Frobenius norm of the matrix (kind None), its largest absolute
+        entry ("max") or its largest absolute column sum (1)."""
+        a = self._matrix if self.kernel is None else self.kernel
+        if kind is None:
+            return float(np.linalg.norm(a))
+        if kind == 1 and self.kernel is None:
+            return float(np.abs(a).sum(axis=0).max())
+        if kind not in (1, "max"):
+            raise InputError(f"unknown norm kind {kind!r}")
+        return float(np.abs(a).max())
+
+    def resolvent(self, n: float, x) -> np.ndarray:
+        """n (n + S)^-1 x for one dim x dim matrix x: n x / (n + K) on a kernel, one solve else."""
+        n = float(n)
+        if self.kernel is not None:
+            return n * x / (n + self.kernel)
+        return unvec(np.linalg.solve(n * np.eye(self.dim**2) + self._matrix, vec(x)) * n, self.dim)
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint with respect to the trace pairing tr(S(x)^dag y)."""
@@ -432,8 +465,52 @@ def expm_action(s: SuperOperator, t: float, x, num: int = 1) -> np.ndarray:
 def _check_exponential(out: np.ndarray, s: SuperOperator, t: float):
     """Raise NumericalError if out, computed from exp(t * S), is not finite."""
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        norm = np.linalg.norm(s.matrix if s.kernel is None else s.kernel)
-        raise NumericalError(f"superoperator exponential overflowed at t={t}; ||S||={norm:.3e}")
+        raise NumericalError(f"superoperator exponential overflowed at t={t}; ||S||={s.norm():.3e}")
+
+
+def _spectral_projection_zero(m: np.ndarray) -> np.ndarray:
+    """Projection onto ker(m) along ran(m).
+
+    One SVD m = U S V^dag gives both kernels: the trailing columns of V
+    span ker(m), those of U span ker(m^dag).  With v and w those bases,
+    the projection is v (w^dag v)^-1 w^dag, which needs 0 to be a
+    semisimple eigenvalue: w^dag v is singular exactly when it is
+    defective.  An empty kernel raises NumericalError.
+    """
+    u, s, vh = np.linalg.svd(m)
+    # svd lists singular values descending; the kernel is the trailing block
+    k = int((s <= 1e-10 * max(s.max(initial=0.0), 1.0)).sum())
+    if k == 0:
+        raise NumericalError("generator has no fixed points")
+    v = vh[-k:].conj().T
+    w = u[:, -k:]
+    try:
+        x = np.linalg.solve(w.conj().T @ v, w.conj().T)
+    except np.linalg.LinAlgError:
+        x = None
+    # w has orthonormal columns, so ||x|| = ||(w^dag v)^-1||: 1/cos of the
+    # widest angle between the two kernels, unbounded as 0 turns defective
+    if x is None or not np.linalg.norm(x) < 1e8:
+        raise NumericalError("zero eigenvalue of the generator is defective")
+    return v @ x
+
+
+def _fixed_point_projection(s: SuperOperator) -> SuperOperator:
+    """E, the spectral projection of S at 0: onto ker(S) along ran(S).
+
+    For a generator L, E projects onto its fixed points.  A kernel K is
+    diagonal, so E is the Schur multiplier of the 0/1 pattern |K| <=
+    1e-10 * max(max |K|, 1), the cutoff that the SVD route puts on the
+    singular values; a dense S goes through _spectral_projection_zero.
+    The adjoint of E is the projection of the adjoint of S.
+    """
+    if s.kernel is None:
+        return SuperOperator._owned(_spectral_projection_zero(s.matrix))
+    size = np.abs(s.kernel)
+    pattern = size <= 1e-10 * max(size.max(initial=0.0), 1.0)
+    if not pattern.any():
+        raise NumericalError("generator has no fixed points")
+    return schur_multiplier_super(pattern)
 
 
 def clamp_psd(a, what: str = "matrix") -> np.ndarray:

@@ -16,20 +16,19 @@ superoperator matrix in the Heisenberg picture.  Schur and raw input
 must give CP maps exp(-tL) for every t >= 0, decided exactly and with no
 exponential by one Choi spectrum (matcore._choi_floor).
 
-A Schur generator holds only the d x d kernel of its multiplier (see
-matcore.SuperOperator), so its propagators, evolutions and fixed-point
-projections are entrywise; the other variants hold dense d^2 x d^2
-matrices.  A generator keeps nothing else: every propagator and fixed
-point is built when asked for, and a caller that evolves many states
-by one propagator applies it to them as one stack.
+A generator holds L and L_* as matcore.SuperOperators, and only
+matcore knows how each is stored.  A generator keeps nothing else:
+every propagator and fixed point is built when asked for, and a caller
+that evolves many states by one propagator applies it to them as one
+stack.
 
 The stationary structure is the spectral projection E at 0, a
-semisimple eigenvalue of a QMS generator, built in one place: one SVD
-of a dense generator, the 0/1 pattern of the zeros of a Schur symbol.
-The conditional expectation onto the fixed points
-(fixed_point_expectation) is E itself, and the faithful invariant state
-(invariant_states) is E_*(1/d).  phi-symmetry (gns_symmetry_residual)
-is checked on the generator itself, not on the semigroup.
+semisimple eigenvalue of a QMS generator, built in one place
+(matcore._fixed_point_projection).  The conditional expectation onto
+the fixed points (fixed_point_expectation) is E itself, and the
+faithful invariant state (invariant_states) is E_*(1/d).  phi-symmetry
+(gns_symmetry_residual) is checked on the generator itself, not on the
+semigroup.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from .matcore import (
     SuperOperator,
     _choi_floor,
     _clamp_spectrum,
+    _fixed_point_projection,
     _hermitian_part,
     as_herm,
     expm_action,
@@ -103,7 +103,7 @@ class Generator:
 
 def _check_unital(l_heis: SuperOperator, dim: int):
     lu = l_heis.apply(np.eye(dim))
-    if np.linalg.norm(lu) > 1e-10 * max(1.0, np.linalg.norm(l_heis.matrix)):
+    if np.linalg.norm(lu) > 1e-10 * max(1.0, l_heis.norm()):
         raise InputError(f"generator is not unital: ||L(1)|| = {np.linalg.norm(lu):.3e}")
 
 
@@ -182,7 +182,7 @@ def raw_generator(matrix) -> Generator:
         raise InputError("raw generator does not preserve Hermiticity")
     _check_unital(heis, d)
     lo = _choi_floor(SuperOperator._owned(-heis.matrix), off_omega=True)
-    if lo < -1e-12 * _norm1(heis):
+    if lo < -1e-12 * heis.norm(1):
         raise InputError(f"exp(-tL) is not completely positive for small t: Choi floor of -L {lo:.3e}")
     return Generator(dim=d, heisenberg=heis, schroedinger=heis.adjoint())
 
@@ -204,7 +204,7 @@ def evolve(gen: Generator, rho: Density, t: float) -> Density:
         raise InputError("state dimension does not match generator")
     if t < 0:
         raise DomainError(f"semigroup time must be >= 0, got {t}")
-    return _evolved_density(rho, _propagated(gen, rho.mat, t, _norm1(gen.schroedinger)))
+    return _evolved_density(rho, _propagated(gen, rho.mat, t, gen.schroedinger.norm(1)))
 
 
 # Sorted times count as evenly spaced, and form a run, when each is within
@@ -233,7 +233,7 @@ def _evolve_along(gen: Generator, rho0: Density, times) -> list:
     if rho0.dim != gen.dim:
         raise InputError("state dimension does not match generator")
     ts = _checked_times(times)
-    norm1 = _norm1(gen.schroedinger)
+    norm1 = gen.schroedinger.norm(1)
     u, where = np.unique(ts, return_inverse=True)
     states = [rho0] if u.size and u[0] == 0.0 else []
     while len(states) < u.size:
@@ -291,12 +291,7 @@ def _step_all(gen: Generator, rho0: Density, states, t: float) -> list:
     if not states:
         return []
     mats = np.array([s.mat for s in states])
-    return _evolved_density(rho0, _propagated(gen, mats, t, _norm1(gen.schroedinger)))
-
-
-def _norm1(s: SuperOperator) -> float:
-    """||S||_1, the largest absolute column sum; on a diagonal, max |kernel|."""
-    return float(np.abs(s.matrix).sum(axis=0).max() if s.kernel is None else np.abs(s.kernel).max())
+    return _evolved_density(rho0, _propagated(gen, mats, t, gen.schroedinger.norm(1)))
 
 
 def _takes_action(gen: Generator, t: float, norm1: float) -> bool:
@@ -305,7 +300,7 @@ def _takes_action(gen: Generator, t: float, norm1: float) -> bool:
 
 
 def _propagated(gen: Generator, mat: np.ndarray, t: float, norm1: float, num: int = 1) -> np.ndarray:
-    """exp(-t L_*) mat, computed; norm1 is _norm1(gen.schroedinger).
+    """exp(-t L_*) mat, computed; norm1 is gen.schroedinger.norm(1).
 
     mat is one matrix or a stack of them, all stepped by t; num > 1
     makes a run of num evenly spaced steps up to t (see expm_action).
@@ -383,50 +378,6 @@ def _densities(mats: np.ndarray, w: np.ndarray, v: np.ndarray) -> list:
     return [Density(HermitianOperator._decomposed(*item)) for item in zip(mats, w, v)]
 
 
-def _spectral_projection_zero(m: np.ndarray) -> np.ndarray:
-    """Projection onto ker(m) along ran(m).
-
-    One SVD m = U S V^dag gives both kernels: the trailing columns of V
-    span ker(m), those of U span ker(m^dag).  With v and w those bases,
-    the projection is v (w^dag v)^-1 w^dag, which needs 0 to be a
-    semisimple eigenvalue: w^dag v is singular exactly when it is
-    defective.  An empty kernel raises NumericalError.
-    """
-    u, s, vh = np.linalg.svd(m)
-    # svd lists singular values descending; the kernel is the trailing block
-    k = int((s <= 1e-10 * max(s.max(initial=0.0), 1.0)).sum())
-    if k == 0:
-        raise NumericalError("generator has no fixed points")
-    v = vh[-k:].conj().T
-    w = u[:, -k:]
-    try:
-        x = np.linalg.solve(w.conj().T @ v, w.conj().T)
-    except np.linalg.LinAlgError:
-        x = None
-    # w has orthonormal columns, so ||x|| = ||(w^dag v)^-1||: 1/cos of the
-    # widest angle between the two kernels, unbounded as 0 turns defective
-    if x is None or not np.linalg.norm(x) < 1e8:
-        raise NumericalError("zero eigenvalue of the generator is defective")
-    return v @ x
-
-
-def _fixed_point_projection(heis: SuperOperator) -> SuperOperator:
-    """E, the spectral projection of L at 0: onto ker(L) along ran(L).
-
-    A Schur L is diagonal, so E is the Schur multiplier of the 0/1
-    pattern |psi| <= 1e-10 * max(max |psi|, 1), the cutoff that the SVD
-    route puts on the singular values; a dense L goes through
-    _spectral_projection_zero.  Its adjoint E_* is the projection of L_*.
-    """
-    if heis.kernel is None:
-        return SuperOperator._owned(_spectral_projection_zero(heis.matrix))
-    size = np.abs(heis.kernel)
-    pattern = size <= 1e-10 * max(size.max(initial=0.0), 1.0)
-    if not pattern.any():
-        raise NumericalError("generator has no fixed points")
-    return schur_multiplier_super(pattern)
-
-
 def invariant_states(gen: Generator) -> Density | None:
     """The faithful invariant state E_*(1/d), or None if there is none.
 
@@ -497,24 +448,22 @@ def _validate_expectation(fp: FixedPointData, gen: Generator):
     """Raise NumericalError unless fp is a conditional expectation for gen.
 
     E must be idempotent, unital and CP with LE = EL = 0, which is E P_t =
-    P_t E = E for every t, and E_* must fix phi.  A Schur multiplier E is
-    checked on its kernel, where Schur multipliers compose entrywise.
+    P_t E = E for every t, and E_* must fix phi.  The norms of E E - E,
+    LE and EL are Frobenius norms of SuperOperators, taken in the form
+    they are stored in.
     """
     d = gen.dim
-    e = fp.expectation
-    schur = e.kernel is not None
-    e_mat, l_mat = (e.kernel, gen.heisenberg.kernel) if schur else (e.matrix, gen.heisenberg.matrix)
-    compose = np.multiply if schur else np.matmul
-    if np.linalg.norm(compose(e_mat, e_mat) - e_mat) > 1e-9 * max(1.0, np.linalg.norm(e_mat)):
+    e, l = fp.expectation, gen.heisenberg
+    if (e @ e - e).norm() > 1e-9 * max(1.0, e.norm()):
         raise NumericalError("fixed-point expectation is not idempotent")
     if np.linalg.norm(e.apply(np.eye(d)) - np.eye(d)) > 1e-9:
         raise NumericalError("fixed-point expectation is not unital")
     lo = _choi_floor(e)
     if lo < -1e-8:
         raise NumericalError(f"fixed-point expectation is not CP: min Choi eig {lo:.3e}")
-    # relative to max |L| as _fixed_point_projection's zero cutoff is, so a kernel's E passes
-    tol = 1e-10 * max(np.abs(l_mat).max(), 1.0) * np.linalg.norm(e_mat)
-    if max(np.linalg.norm(compose(l_mat, e_mat)), np.linalg.norm(compose(e_mat, l_mat))) > tol:
+    # relative to max |L| as _fixed_point_projection's zero cutoff is, so a 0/1 pattern E passes
+    tol = 1e-10 * max(l.norm("max"), 1.0) * e.norm()
+    if max((l @ e).norm(), (e @ l).norm()) > tol:
         raise NumericalError("expectation does not absorb the semigroup")
     # phi-preservation: tr(phi E(x)) = tr(phi x) for all x, i.e. E_* phi = phi
     f = fp.phi.mat
@@ -527,11 +476,10 @@ def fixed_point_expectation(gen: Generator, phi: Density) -> FixedPointData:
 
     phi must be a faithful invariant state.  0 is a semisimple
     eigenvalue of the generator of a QMS, so E is the spectral
-    projection onto ker(L) along ran(L) (see _fixed_point_projection):
-    one SVD of a dense L, the 0/1 pattern of the zeros of a Schur
-    symbol.  E is then checked, with no exponential: idempotent, unital,
-    CP, LE = EL = 0 and preserving phi, or NumericalError is raised.  For
-    a phi-symmetric semigroup E is orthogonal in <x,y> = tr(phi x^dag y).
+    projection onto ker(L) along ran(L) (matcore._fixed_point_projection).
+    E is then checked, with no exponential: idempotent, unital, CP, LE =
+    EL = 0 and preserving phi, or NumericalError is raised.  For a
+    phi-symmetric semigroup E is orthogonal in <x,y> = tr(phi x^dag y).
     E is built, and checked, on every call.
     """
     if phi.dim != gen.dim:

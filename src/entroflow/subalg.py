@@ -38,8 +38,6 @@ from .matcore import (
     conjugation_super,
     mat_fn,
     schur_multiplier_super,
-    unvec,
-    vec,
 )
 from .qms import Generator, invariant_states
 from .statespace import Density, density, rel_entropy
@@ -99,8 +97,8 @@ def conditional_expectation(spec: SubalgebraSpec, phi: Density | None = None) ->
 
     Without a rotation the pinching keeps the diagonal blocks of a
     matrix and zeroes the rest: the Schur multiplier of the 0/1 block
-    pattern, held as its d x d kernel.  A rotated one is the dense sum
-    of the conjugations x -> P_B x P_B.  If a state is supplied it must
+    pattern (schur_multiplier_super).  A rotated one is the sum of the
+    conjugations x -> P_B x P_B.  If a state is supplied it must
     already be block diagonal, so that the pinching is its conditional
     expectation as well.
     """
@@ -222,12 +220,7 @@ def martingale_entropy_check(specs, rho: Density, sigma: Density) -> MartingaleR
         raise InputError("subalgebra dimensions do not match the state")
     pinches = [conditional_expectation(s) for s in specs]
     for a, b in zip(pinches, pinches[1:]):
-        if a.kernel is not None and b.kernel is not None:
-            # Schur multipliers compose entrywise: compare kernels, build no matrix
-            ab, ba, aa = (a @ b).kernel, (b @ a).kernel, a.kernel
-        else:
-            ab, ba, aa = (a @ b).matrix, (b @ a).matrix, a.matrix
-        if not (np.allclose(ab, aa, atol=1e-10) and np.allclose(ba, aa, atol=1e-10)):
+        if max((a @ b - a).norm("max"), (b @ a - a).norm("max")) > 1e-10:
             raise InputError("subalgebras are not nested smallest-first")
     values = []
     for s in specs:
@@ -259,10 +252,10 @@ def chain_rule_check(
 
     The default regularizer is the resolvent average
     psi_n = n (n + L_*)^{-1} psi, a completely positive trace-preserving
-    smoothing that fixes sigma; its defect decays like 1/n.  For a Schur
-    generator with kernel K it is n psi / (n + K) entrywise, else one
-    dense d^2 x d^2 solve.  Passing the pinched state of a compatible
-    subalgebra instead makes the defect exactly zero.
+    smoothing that fixes sigma; its defect decays like 1/n.
+    SuperOperator.resolvent computes it in the form L_* is stored in.
+    Passing the pinched state of a compatible subalgebra instead makes
+    the defect exactly zero.
     """
     if psi.dim != gen.dim:
         raise InputError("state dimension does not match the generator")
@@ -272,15 +265,7 @@ def chain_rule_check(
     if psi_n is None:
         if n < 1:
             raise InputError(f"resolvent order must be >= 1, got {n}")
-        kernel = gen.schroedinger.kernel
-        if kernel is not None:
-            m = float(n) * psi.mat / (float(n) + kernel)
-        else:
-            d2 = gen.dim * gen.dim
-            reg = np.linalg.solve(
-                float(n) * np.eye(d2) + gen.schroedinger.matrix, vec(psi.mat)
-            ) * float(n)
-            m = unvec(reg, gen.dim)
+        m = gen.schroedinger.resolvent(n, psi.mat)
         m = (m + m.conj().T) / 2
         w = np.linalg.eigvalsh(m)
         if w[0] < -1e-9:

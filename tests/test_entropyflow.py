@@ -132,6 +132,19 @@ def test_trajectory_matches_depolarizing_closed_form():
         assert rec.alpha_track[k] == pytest.approx(max(1 + r, 1 / (1 - r)), abs=1e-9)
 
 
+def test_trajectory_solves_one_pencil_per_node(monkeypatch):
+    """Each node's alpha is the one its entropy production computed."""
+    calls = []
+    pencil = statespace._pencil_eigvals
+    monkeypatch.setattr(statespace, "_pencil_eigvals", lambda a, b: calls.append(1) or pencil(a, b))
+    gen, rho0, sigma = depolarizing(3), random_state(3, 43), density(np.eye(3) / 3)
+    ts = np.linspace(0.1, 2.0, 6)
+    rec = trajectory(gen, rho0, sigma, ts)
+    assert len(calls) == ts.size
+    states = qms._evolve_along(gen, rho0, ts)
+    assert rec.alpha_track.tolist() == [balpha_factor(rt, sigma) for rt in states]
+
+
 def test_trajectory_rejects_bad_grid():
     gen = depolarizing(2)
     with pytest.raises(Exception):

@@ -13,12 +13,18 @@ from entroflow import cli, qms
 from entroflow.entropyflow import decay_certificate
 from entroflow.errors import DomainError, InputError, NumericalError
 from entroflow.groupsem import build_ball_semigroup
-from entroflow.matcore import SuperOperator, choi_matrix, trace_norm, unvec, vec
+from entroflow.matcore import (
+    SuperOperator,
+    _fixed_point_projection,
+    _spectral_projection_zero,
+    choi_matrix,
+    trace_norm,
+    unvec,
+    vec,
+)
 from entroflow.qms import (
     _evolve_along,
     _evolved_density,
-    _fixed_point_projection,
-    _spectral_projection_zero,
     evolve,
     fixed_point_expectation,
     gkls_generator,

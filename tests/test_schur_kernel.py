@@ -3,20 +3,31 @@
 A Schur multiplier holds only its kernel; its d^2 x d^2 matrix is the
 diagonal matrix of vec(kernel), built on read.  On the real kernels of
 Schur generators, each entrywise operation must give the bits the dense
-route gives on that materialised matrix.
+route gives on that materialised matrix, but for the Frobenius norm and
+the resolvent, which round differently.  Only matcore reads the form.
 """
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entroflow.errors import NumericalError
+import entroflow
+from entroflow.errors import InputError, NumericalError
 from entroflow.groupsem import build_ball_semigroup
-from entroflow.matcore import SuperOperator, expm_action, expm_superop, schur_multiplier_super
+from entroflow.matcore import (
+    SuperOperator,
+    _spectral_projection_zero,
+    expm_action,
+    expm_superop,
+    schur_multiplier_super,
+    unvec,
+    vec,
+)
 from entroflow.qms import (
     FixedPointData,
-    _spectral_projection_zero,
     _validate_expectation,
     fixed_point_expectation,
     schur_generator,
@@ -75,6 +86,7 @@ def squared_distances(x):
 
 MODELS = {f"ball-d{d}": (lambda m=m: build_ball_semigroup(*m).gen) for d, m in BALLS.items()}
 MODELS["near-zero-d10"] = lambda: schur_generator(near_zero_symbol(10, 7))
+MODELS["pair-d2"] = lambda: schur_generator(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("name", list(MODELS))
@@ -105,6 +117,56 @@ def test_kernel_operations_match_the_materialised_matrix(name):
         assert same_bits(p.matrix, p_dense.matrix)
         assert same_bits(p.apply(herm), p_dense.apply(herm))
         assert np.array_equal(expm_action(s, -t, herm), p_dense.apply(herm))
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_form_private_operations_match_the_materialised_matrix(name):
+    """-, norm, resolvent and kernel x dense @ against the same operation on .matrix."""
+    gen = MODELS[name]()
+    d = gen.dim
+    s = gen.schroedinger
+    dense = SuperOperator(s.matrix)
+    rng = np.random.default_rng(200 + d)
+    other = schur_multiplier_super(rng.uniform(0.5, 1.5, size=(d, d)))
+    m = SuperOperator(random_matrix(rng, d * d))
+    # equal bits: a difference, and the largest entry and column sum
+    assert (s - other).kernel is not None
+    assert same_bits((s - other).matrix, (dense - SuperOperator(other.matrix)).matrix)
+    assert same_bits((s - m).matrix, (dense - m).matrix)
+    assert same_bits((m - s).matrix, (m - dense).matrix)
+    assert s.norm("max") == dense.norm("max") == np.abs(s.matrix).max()
+    assert s.norm(1) == dense.norm(1) == np.linalg.norm(s.matrix, 1)
+    with pytest.raises(InputError):
+        s.norm(2)
+    # equal values, up to the sign of a zero: row and column scalings of a dense map
+    assert np.array_equal((s @ m).matrix, (dense @ m).matrix)
+    assert np.array_equal((m @ s).matrix, (m @ dense).matrix)
+    # the Frobenius norm sums d^2 squares, not d^4, and a complex kernel's
+    # scalings round apart from the fused products of a matrix product
+    assert dense.norm() == np.linalg.norm(s.matrix)
+    assert abs(s.norm() - dense.norm()) <= 1e-14 * dense.norm()
+    lift = schur_multiplier_super(random_matrix(rng, d))
+    for got, want in (((lift @ m).matrix, lift.matrix @ m.matrix), ((m @ lift).matrix, m.matrix @ lift.matrix)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the resolvent: n x / (n + K) divides once, the solve divides and multiplies
+    x = random_matrix(rng, d)
+    for n in (1, 10, 40):
+        want = dense.resolvent(n, x)
+        assert np.array_equal(want, unvec(np.linalg.solve(n * np.eye(d * d) + s.matrix, vec(x)) * n, d))
+        assert np.abs(s.resolvent(n, x) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_only_matcore_reads_the_storage_form():
+    """No module but matcore reads a SuperOperator's .kernel; tests may."""
+    package = Path(entroflow.__file__).parent
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "matcore.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "kernel"
+    ]
+    assert reads == []
 
 
 @pytest.mark.parametrize("name", list(MODELS))

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from entroflow import subalg
 from entroflow.errors import DomainError, InputError
@@ -166,6 +167,25 @@ def test_martingale_rejects_non_nested():
             random_state(4, 22),
             density(np.eye(4, dtype=complex) / 4),
         )
+
+
+@pytest.mark.parametrize("eps,nested", [(0.0, True), (1e-8, False), (1e-6, False)])
+def test_martingale_nesting_is_decided_to_1e_10(eps, nested):
+    """Levels [1,1,1,1], [2,2], [4]; the middle one's unitary is U turned by expm(i eps H).
+
+    A turn by eps moves the nesting residuals by about eps, so 1e-8 and
+    1e-6 are refused; a relative tolerance on the entries would pass them.
+    """
+    u = random_unitary(4, 40)
+    g = np.random.default_rng(41).normal(size=(4, 4, 2)) @ [1.0, 1j]
+    middle = scipy.linalg.expm(1j * eps * (g + g.conj().T)) @ u
+    specs = [subalgebra((1, 1, 1, 1), u), subalgebra((2, 2), middle), subalgebra((4,))]
+    sigma = density(u @ np.diag([0.4, 0.3, 0.2, 0.1]) @ u.conj().T)
+    if nested:
+        assert martingale_entropy_check(specs, random_state(4, 42), sigma).max_violation <= 1e-10
+    else:
+        with pytest.raises(InputError, match="nested"):
+            martingale_entropy_check(specs, random_state(4, 42), sigma)
 
 
 def test_martingale_rejects_a_level_of_another_dimension_before_pinching(monkeypatch):
